@@ -59,11 +59,6 @@ let domains_flag = ref 0
 let bench_domains () =
   if !domains_flag > 0 then !domains_flag else Par.auto_domains ()
 
-(* --batch K: submissions claimed per shared-cursor fetch in Par.run.
-   Purely a host-side scheduling knob — virtual output is asserted
-   byte-identical across batch sizes by the serving scale leg. *)
-let batch_flag = ref 1
-
 (* A parallel leg is degenerate when the pool cannot express real
    parallelism (single-core host, single-domain pool, or more domains
    than cores): its speedup numbers are artifacts, so the JSON labels
@@ -828,10 +823,12 @@ let chaos () =
    load.  Two identically seeded runs are bit-identical (the CI smoke
    job diffs them); emits BENCH_serving.json next to the table.        *)
 
-(* One serving leg's artifacts: the report plus every deterministic
-   observability document byte-compared across domain counts. *)
+(* One serving leg's artifacts: the summary and response fingerprint
+   plus every deterministic observability document byte-compared
+   across domain counts. *)
 type serving_leg = {
-  lg_report : Alloystack_core.Visor.Server.serve_report;
+  lg_summary : Alloystack_core.Visor.Server.summary;
+  lg_fingerprint : string;
   lg_wall_ms : float;
   lg_breakdown : Alloystack_core.Jsonlite.t;
   lg_trace : string;
@@ -918,6 +915,12 @@ let serving () =
       ("mlinf", py_wf, py_bindings);
     ]
   in
+  let register_all server =
+    List.iter
+      (fun (endpoint, workflow, bindings) ->
+        Visor.Server.register server ~endpoint ~workflow ~bindings ())
+      endpoints_spec
+  in
   let seed = 42 in
   let qps = 900.0 in
   let count = if !quick then 150 else 400 in
@@ -931,12 +934,31 @@ let serving () =
       | None -> None
       | Some (endpoint, arrival) -> Some { Visor.Server.endpoint; arrival }
   in
-  let requests =
-    let next = stream_requests ~qps ~count () in
-    let rec all acc =
-      match next () with None -> List.rev acc | Some r -> all (r :: acc)
+  (* Serve a request stream to completion, folding each response into
+     the run's fingerprint as it completes: one
+     "endpoint,arrival,finish,warm,ok,attempts,retries" record per
+     response, ';'-separated, in completion order.  Every field is
+     virtual time or a deterministic counter, so the fingerprint must
+     match across domain counts. *)
+  let serve_fingerprinted server next =
+    let buf = Buffer.create 4096 in
+    let field s =
+      Buffer.add_char buf ',';
+      Buffer.add_string buf s
     in
-    all []
+    let (), s =
+      Visor.Server.serve_fold server next ~init:()
+        ~f:(fun () (p : Visor.Server.response) ->
+          if Buffer.length buf > 0 then Buffer.add_char buf ';';
+          Buffer.add_string buf p.Visor.Server.r_endpoint;
+          field (Int64.to_string (Units.to_ns p.Visor.Server.r_arrival));
+          field (Int64.to_string (Units.to_ns p.Visor.Server.r_finish));
+          field (string_of_bool p.Visor.Server.r_warm);
+          field (string_of_bool p.Visor.Server.r_ok);
+          field (string_of_int p.Visor.Server.r_attempts);
+          field (string_of_int p.Visor.Server.r_retries))
+    in
+    (Buffer.contents buf, s)
   in
   (* Two burn-rate SLOs on every telemetry-enabled leg: a tight one the
      cold pool plausibly violates and a loose availability objective. *)
@@ -983,12 +1005,9 @@ let serving () =
   in
   let run_mode ~warm =
     let server = Visor.Server.create ~warm () in
-    List.iter
-      (fun (endpoint, workflow, bindings) ->
-        Visor.Server.register server ~endpoint ~workflow ~bindings ())
-      endpoints_spec;
+    register_all server;
     Visor.Server.enable_telemetry server ~slos:(slo_specs ()) ();
-    let report = Visor.Server.serve server requests in
+    let fp, summary = serve_fingerprinted server (stream_requests ~qps ~count ()) in
     let csv =
       match Visor.Server.telemetry server with
       | Some ts -> Timeseries.to_csv ts
@@ -1000,7 +1019,7 @@ let serving () =
     in
     let slo = slo_json server in
     Visor.Server.shutdown server;
-    (report, csv, alerts, slo)
+    (fp, summary, csv, alerts, slo)
   in
   (* Span-trace both pool modes.  The per-request critical-path
      aggregate and the exported trace / metrics documents are pure
@@ -1028,36 +1047,23 @@ let serving () =
                (Obs.categories @ [ "other" ])) );
       ]
   in
-  let mode_json (r : Visor.Server.serve_report) =
+  let mode_json (s : Visor.Server.summary) =
     Jsonlite.Obj
       [
-        ("completed", Jsonlite.Int r.Visor.Server.completed);
-        ("failed", Jsonlite.Int r.Visor.Server.failed);
-        ("throughput_rps", Jsonlite.Float r.Visor.Server.throughput_rps);
-        ("mean_us", Jsonlite.Float (Units.to_us r.Visor.Server.mean_latency));
-        ("p50_us", Jsonlite.Float (Units.to_us r.Visor.Server.p50_latency));
-        ("p99_us", Jsonlite.Float (Units.to_us r.Visor.Server.p99_latency));
-        ("max_inflight", Jsonlite.Int r.Visor.Server.max_inflight);
-        ("warm_starts", Jsonlite.Int r.Visor.Server.warm_starts);
-        ("cold_starts", Jsonlite.Int r.Visor.Server.cold_starts);
-        ("admission_hits", Jsonlite.Int r.Visor.Server.adm_hits);
-        ("admission_scans", Jsonlite.Int r.Visor.Server.adm_scans);
-        ("evictions", Jsonlite.Int r.Visor.Server.evictions);
-        ("peak_rss", Jsonlite.Int r.Visor.Server.machine_peak_rss);
+        ("completed", Jsonlite.Int s.Visor.Server.sm_completed);
+        ("failed", Jsonlite.Int s.Visor.Server.sm_failed);
+        ("throughput_rps", Jsonlite.Float s.Visor.Server.sm_throughput_rps);
+        ("mean_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_mean_latency));
+        ("p50_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_p50_latency));
+        ("p99_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_p99_latency));
+        ("max_inflight", Jsonlite.Int s.Visor.Server.sm_max_inflight);
+        ("warm_starts", Jsonlite.Int s.Visor.Server.sm_warm_starts);
+        ("cold_starts", Jsonlite.Int s.Visor.Server.sm_cold_starts);
+        ("admission_hits", Jsonlite.Int s.Visor.Server.sm_adm_hits);
+        ("admission_scans", Jsonlite.Int s.Visor.Server.sm_adm_scans);
+        ("evictions", Jsonlite.Int s.Visor.Server.sm_evictions);
+        ("peak_rss", Jsonlite.Int s.Visor.Server.sm_machine_peak_rss);
       ]
-  in
-  (* Every response field is virtual time or a deterministic counter:
-     the per-response fingerprint must match across domain counts. *)
-  let fingerprint (r : Visor.Server.serve_report) =
-    String.concat ";"
-      (List.map
-         (fun (p : Visor.Server.response) ->
-           Printf.sprintf "%s,%Ld,%Ld,%b,%b,%d,%d" p.Visor.Server.r_endpoint
-             (Units.to_ns p.Visor.Server.r_arrival)
-             (Units.to_ns p.Visor.Server.r_finish)
-             p.Visor.Server.r_warm p.Visor.Server.r_ok p.Visor.Server.r_attempts
-             p.Visor.Server.r_retries)
-         r.Visor.Server.responses)
   in
   (* Each pool mode runs on one domain and on the requested pool: wall
      time is allowed to differ, every virtual artifact (responses,
@@ -1069,7 +1075,7 @@ let serving () =
     reset_observability ();
     Span.set_enabled Span.global true;
     let t0 = Unix.gettimeofday () in
-    let r, csv, alerts, slo = run_mode ~warm in
+    let fp, summary, csv, alerts, slo = run_mode ~warm in
     let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     let bd = request_breakdown () in
     let trace = Obs.trace_json_string () in
@@ -1079,7 +1085,8 @@ let serving () =
     Span.set_enabled Span.global false;
     Par.set_domains 1;
     {
-      lg_report = r;
+      lg_summary = summary;
+      lg_fingerprint = fp;
       lg_wall_ms = wall_ms;
       lg_breakdown = bd;
       lg_trace = trace;
@@ -1097,8 +1104,8 @@ let serving () =
   let cold1 = run_at ~domains:1 ~warm:false in
   let warm = run_at ~domains:nd ~warm:true in
   let cold = run_at ~domains:nd ~warm:false in
-  let warm_r1 = warm1.lg_report and cold_r1 = cold1.lg_report in
-  let warm_r = warm.lg_report and cold_r = cold.lg_report in
+  let warm_r1 = warm1.lg_summary and cold_r1 = cold1.lg_summary in
+  let warm_r = warm.lg_summary and cold_r = cold.lg_summary in
   let warm_ms1 = warm1.lg_wall_ms and cold_ms1 = cold1.lg_wall_ms in
   let warm_ms = warm.lg_wall_ms and cold_ms = cold.lg_wall_ms in
   let trace_doc = warm.lg_trace and metrics_doc = warm.lg_metrics in
@@ -1109,8 +1116,8 @@ let serving () =
       exit 1
     end
   in
-  check "warm responses" (fingerprint warm_r1) (fingerprint warm_r);
-  check "cold responses" (fingerprint cold_r1) (fingerprint cold_r);
+  check "warm responses" warm1.lg_fingerprint warm.lg_fingerprint;
+  check "cold responses" cold1.lg_fingerprint cold.lg_fingerprint;
   check "warm summary"
     (Jsonlite.to_string (mode_json warm_r1))
     (Jsonlite.to_string (mode_json warm_r));
@@ -1149,17 +1156,19 @@ let serving () =
         [ "Pool"; "done"; "req/s"; "p50"; "p99"; "max inflight"; "warm/cold";
           "adm hit/scan" ]
   in
-  let row label (r : Visor.Server.serve_report) =
+  let row label (s : Visor.Server.summary) =
     Table.add_row t
       [
         label;
-        string_of_int r.Visor.Server.completed;
-        Printf.sprintf "%.0f" r.Visor.Server.throughput_rps;
-        pp_t r.Visor.Server.p50_latency;
-        pp_t r.Visor.Server.p99_latency;
-        string_of_int r.Visor.Server.max_inflight;
-        Printf.sprintf "%d/%d" r.Visor.Server.warm_starts r.Visor.Server.cold_starts;
-        Printf.sprintf "%d/%d" r.Visor.Server.adm_hits r.Visor.Server.adm_scans;
+        string_of_int s.Visor.Server.sm_completed;
+        Printf.sprintf "%.0f" s.Visor.Server.sm_throughput_rps;
+        pp_t s.Visor.Server.sm_p50_latency;
+        pp_t s.Visor.Server.sm_p99_latency;
+        string_of_int s.Visor.Server.sm_max_inflight;
+        Printf.sprintf "%d/%d" s.Visor.Server.sm_warm_starts
+          s.Visor.Server.sm_cold_starts;
+        Printf.sprintf "%d/%d" s.Visor.Server.sm_adm_hits
+          s.Visor.Server.sm_adm_scans;
       ]
   in
   row "warm (template clone)" warm_r;
@@ -1180,14 +1189,18 @@ let serving () =
     Visor.Server.register server ~endpoint:"mlinf" ~workflow:py_wf
       ~bindings:py_bindings ();
     if prewarm then ignore (Visor.Server.prewarm server ~endpoint:"mlinf");
-    let r =
-      Visor.Server.serve server
-        [ { Visor.Server.endpoint = "mlinf"; arrival = Units.zero } ]
+    let pending = ref (Some { Visor.Server.endpoint = "mlinf"; arrival = Units.zero }) in
+    let latency, _ =
+      Visor.Server.serve_fold server
+        (fun () ->
+          let r = !pending in
+          pending := None;
+          r)
+        ~init:Units.zero
+        ~f:(fun _ (p : Visor.Server.response) -> p.Visor.Server.r_latency)
     in
     Visor.Server.shutdown server;
-    match r.Visor.Server.responses with
-    | [ resp ] -> resp.Visor.Server.r_latency
-    | _ -> Units.zero
+    latency
   in
   let warm_one = one ~warm:true ~prewarm:true in
   let cold_one = one ~warm:false ~prewarm:false in
@@ -1206,12 +1219,6 @@ let serving () =
      1-in-k so trace/span state stays O(n/k); metrics raw reservoirs
      are thinned the same way.  Virtual outputs stay deterministic and
      the scale leg is asserted byte-identical across domain counts. *)
-  let register_all server =
-    List.iter
-      (fun (endpoint, workflow, bindings) ->
-        Visor.Server.register server ~endpoint ~workflow ~bindings ())
-      endpoints_spec
-  in
   let sample_every = 64 in
   (* Largest sweep point strictly below the saturation knee — the rate
      the soak leg runs at.  Without --sweep the default matches the
@@ -1282,13 +1289,14 @@ let serving () =
           Visor.Server.create ~warm:true ~sample_every ~sample_seed:seed ()
         in
         register_all server;
-        let r =
-          Visor.Server.serve_stream server
+        let (), s =
+          Visor.Server.serve_fold server
             (stream_requests ~qps:q ~count:sweep_count ())
+            ~init:() ~f:(fun () _ -> ())
         in
         Visor.Server.shutdown server;
         Metrics.set_raw_sample_every 1;
-        r
+        s
       in
       let results = List.map (fun q -> (q, run_point q)) points in
       (* Saturation knee: the first offered load whose p99 blows past
@@ -1296,14 +1304,14 @@ let serving () =
          never saturates, the knee is the last point. *)
       let base_p99 =
         match results with
-        | (_, r0) :: _ -> Units.to_us r0.Visor.Server.p99_latency
+        | (_, s0) :: _ -> Units.to_us s0.Visor.Server.sm_p99_latency
         | [] -> 0.0
       in
       let knee_qps =
         match
           List.find_opt
-            (fun (_, (r : Visor.Server.serve_report)) ->
-              Units.to_us r.Visor.Server.p99_latency > 2.0 *. base_p99)
+            (fun (_, (s : Visor.Server.summary)) ->
+              Units.to_us s.Visor.Server.sm_p99_latency > 2.0 *. base_p99)
             results
         with
         | Some (q, _) -> q
@@ -1317,8 +1325,8 @@ let serving () =
       (match
          List.rev
            (List.filter
-              (fun (q, r) ->
-                r.Visor.Server.throughput_rps >= 0.95 *. q && q < knee_qps)
+              (fun (q, s) ->
+                s.Visor.Server.sm_throughput_rps >= 0.95 *. q && q < knee_qps)
               results)
        with
       | (q, _) :: _ -> sub_knee_qps := q
@@ -1331,28 +1339,28 @@ let serving () =
           ~columns:[ "qps"; "done"; "req/s"; "p50"; "p99"; "max inflight" ]
       in
       List.iter
-        (fun (q, (r : Visor.Server.serve_report)) ->
+        (fun (q, (s : Visor.Server.summary)) ->
           Table.add_row st
             [
               Printf.sprintf "%.0f" q;
-              string_of_int r.Visor.Server.completed;
-              Printf.sprintf "%.0f" r.Visor.Server.throughput_rps;
-              pp_t r.Visor.Server.p50_latency;
-              pp_t r.Visor.Server.p99_latency;
-              string_of_int r.Visor.Server.max_inflight;
+              string_of_int s.Visor.Server.sm_completed;
+              Printf.sprintf "%.0f" s.Visor.Server.sm_throughput_rps;
+              pp_t s.Visor.Server.sm_p50_latency;
+              pp_t s.Visor.Server.sm_p99_latency;
+              string_of_int s.Visor.Server.sm_max_inflight;
             ])
         results;
       Table.print st;
-      let point_json (q, (r : Visor.Server.serve_report)) =
+      let point_json (q, (s : Visor.Server.summary)) =
         Jsonlite.Obj
           [
             ("qps", Jsonlite.Float q);
-            ("completed", Jsonlite.Int r.Visor.Server.completed);
-            ("failed", Jsonlite.Int r.Visor.Server.failed);
-            ("throughput_rps", Jsonlite.Float r.Visor.Server.throughput_rps);
-            ("p50_us", Jsonlite.Float (Units.to_us r.Visor.Server.p50_latency));
-            ("p99_us", Jsonlite.Float (Units.to_us r.Visor.Server.p99_latency));
-            ("max_inflight", Jsonlite.Int r.Visor.Server.max_inflight);
+            ("completed", Jsonlite.Int s.Visor.Server.sm_completed);
+            ("failed", Jsonlite.Int s.Visor.Server.sm_failed);
+            ("throughput_rps", Jsonlite.Float s.Visor.Server.sm_throughput_rps);
+            ("p50_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_p50_latency));
+            ("p99_us", Jsonlite.Float (Units.to_us s.Visor.Server.sm_p99_latency));
+            ("max_inflight", Jsonlite.Int s.Visor.Server.sm_max_inflight);
           ]
       in
       let sweep_json =
@@ -1374,9 +1382,8 @@ let serving () =
          serving (bounded in-flight, bounded memory), not queue
          collapse — the sweep above covers the saturated regime. *)
       let scale_qps = 300.0 in
-      let run_scale ?(telemetry = false) ?batch ~domains () =
+      let run_scale ?(telemetry = false) ~domains () =
         Par.set_domains domains;
-        (match batch with Some k -> Par.set_batch k | None -> ());
         reset_observability ();
         Metrics.set_raw_sample_every ~seed sample_every;
         let server =
@@ -1391,8 +1398,8 @@ let serving () =
            domains-1 leg. *)
         let alloc0 = Gc.allocated_bytes () in
         let t0 = Unix.gettimeofday () in
-        let r =
-          Visor.Server.serve_stream server
+        let fp, s =
+          serve_fingerprinted server
             (stream_requests ~qps:scale_qps ~count:scale_count ())
         in
         let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -1400,39 +1407,22 @@ let serving () =
         Visor.Server.shutdown server;
         Metrics.set_raw_sample_every 1;
         Par.set_domains 1;
-        (match batch with Some _ -> Par.set_batch !batch_flag | None -> ());
         let live_words = (Gc.stat ()).Gc.live_words in
-        (r, wall_ms, live_words, alloc_words)
+        (Digest.to_hex (Digest.string fp), s, wall_ms, live_words, alloc_words)
       in
-      let scale_r1, scale_ms1, scale_live1, scale_alloc1 =
+      let fp1, scale_r1, scale_ms1, scale_live1, scale_alloc1 =
         run_scale ~domains:1 ()
       in
-      let scale_rn, scale_msn, scale_liven, _ = run_scale ~domains:nd () in
-      let fp1 = Digest.to_hex (Digest.string (fingerprint scale_r1)) in
-      let fpn = Digest.to_hex (Digest.string (fingerprint scale_rn)) in
+      let fpn, scale_rn, scale_msn, scale_liven, _ = run_scale ~domains:nd () in
       check "scale responses (fingerprint)" fp1 fpn;
       check "scale summary"
         (Jsonlite.to_string (mode_json scale_r1))
         (Jsonlite.to_string (mode_json scale_rn));
-      (* Batched work claiming is a host-only knob: the same leg at
-         K = 8 and K = 64 on the full pool must produce the same
-         bytes (K = 1 across domain counts is the check above; CI
-         diffs --domains 1 --batch 1 against --domains 4 --batch 64
-         across separate invocations). *)
-      List.iter
-        (fun k ->
-          let rb, _, _, _ = run_scale ~batch:k ~domains:nd () in
-          let fpb = Digest.to_hex (Digest.string (fingerprint rb)) in
-          check
-            (Printf.sprintf "scale responses at batch %d (fingerprint)" k)
-            fpn fpb)
-        [ 8; 64 ];
       (* The same leg with per-window telemetry and SLO monitors on:
          responses must not change (telemetry is pure observation) and
          the measured overhead lands in the JSON where perf_gate.py
          watches it. *)
-      let tel_rn, tel_msn, _, _ = run_scale ~telemetry:true ~domains:nd () in
-      let fp_tel = Digest.to_hex (Digest.string (fingerprint tel_rn)) in
+      let fp_tel, _, tel_msn, _, _ = run_scale ~telemetry:true ~domains:nd () in
       check "scale responses with telemetry (fingerprint)" fpn fp_tel;
       Printf.printf
         "scale telemetry: wall %.0f ms -> %.0f ms with timeseries+SLOs (%.2f us/request vs %.2f)\n"
@@ -1442,9 +1432,9 @@ let serving () =
       Printf.printf
         "scale: %d requests, sample 1/%d: p50 %s p99 %s, %d warm / %d cold; wall %.0f ms (1 domain) -> %.0f ms (%d domains)\n"
         scale_count sample_every
-        (pp_t scale_rn.Visor.Server.p50_latency)
-        (pp_t scale_rn.Visor.Server.p99_latency)
-        scale_rn.Visor.Server.warm_starts scale_rn.Visor.Server.cold_starts
+        (pp_t scale_rn.Visor.Server.sm_p50_latency)
+        (pp_t scale_rn.Visor.Server.sm_p99_latency)
+        scale_rn.Visor.Server.sm_warm_starts scale_rn.Visor.Server.sm_cold_starts
         scale_ms1 scale_msn nd;
       (* Sketch accuracy leg: the same 10^5 stream through serve_fold
          with sketch_latency (no materialised responses, no retained
@@ -1454,12 +1444,12 @@ let serving () =
         run_fold ~qps:scale_qps ~count:scale_count ~sample_every ~exact:true
       in
       if
-        fold_s.Visor.Server.sm_completed <> scale_rn.Visor.Server.completed
-        || fold_s.Visor.Server.sm_failed <> scale_rn.Visor.Server.failed
+        fold_s.Visor.Server.sm_completed <> scale_rn.Visor.Server.sm_completed
+        || fold_s.Visor.Server.sm_failed <> scale_rn.Visor.Server.sm_failed
         || fold_s.Visor.Server.sm_max_inflight
-           <> scale_rn.Visor.Server.max_inflight
+           <> scale_rn.Visor.Server.sm_max_inflight
       then begin
-        Printf.eprintf "serving: serve_fold disagrees with serve_stream\n";
+        Printf.eprintf "serving: the sketched fold disagrees with the exact scale leg\n";
         exit 1
       end;
       let ns_of t = Int64.to_float (Units.to_ns t) in
@@ -1488,12 +1478,11 @@ let serving () =
         else begin
           Hotspot.reset ();
           Hotspot.set_enabled true;
-          let hp_r, hp_ms, _, _ =
+          let fp_hp, _, hp_ms, _, _ =
             Fun.protect
               ~finally:(fun () -> Hotspot.set_enabled false)
               (fun () -> run_scale ~domains:nd ())
           in
-          let fp_hp = Digest.to_hex (Digest.string (fingerprint hp_r)) in
           check "scale responses under profiling (fingerprint)" fpn fp_hp;
           let entries = Hotspot.snapshot () in
           let by_cost =
@@ -2246,21 +2235,9 @@ let () =
     | [ "--domains" ] ->
         Printf.eprintf "--domains expects a positive integer\n";
         exit 2
-    | "--batch" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some k when k >= 1 ->
-            batch_flag := k;
-            parse acc rest
-        | _ ->
-            Printf.eprintf "--batch expects a positive integer, got %S\n" n;
-            exit 2)
-    | [ "--batch" ] ->
-        Printf.eprintf "--batch expects a positive integer\n";
-        exit 2
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] args in
-  Par.set_batch !batch_flag;
   let selected =
     match args with
     | [] | [ "all" ] -> experiments

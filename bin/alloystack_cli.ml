@@ -139,6 +139,21 @@ let make_chain_server ~cold ~sample_every ~seed ~sketch_latency =
   Visor.Server.register server ~endpoint:"chain" ~workflow:wf ~bindings ();
   server
 
+(* Serve [requests] seeded open-loop arrivals at [qps] to the chain
+   endpoint, streamed (constant memory in the request count), keeping
+   only the summary. *)
+let serve_chain server ~requests ~qps ~seed =
+  let open Alloystack_core in
+  let next =
+    Baselines.Loadgen.request_stream ~seed ~qps ~endpoints:[| "chain" |]
+      ~count:requests ()
+  in
+  snd
+    (Visor.Server.serve_fold server
+       (fun () ->
+         Option.map (fun (endpoint, arrival) -> { Visor.Server.endpoint; arrival }) (next ()))
+       ~init:() ~f:(fun () _ -> ()))
+
 (* Serve a seeded open-loop load with spans on, then attribute every
    request at or above the latency quantile to its dominant
    critical-path bucket. *)
@@ -147,18 +162,7 @@ let explain_tails ~requests ~qps ~seed ~quantile =
   Sim.Span.set_enabled Sim.Span.global true;
   let open Alloystack_core in
   let server = make_chain_server ~cold:false ~sample_every:1 ~seed ~sketch_latency:false in
-  let next =
-    Baselines.Loadgen.request_stream ~seed ~qps ~endpoints:[| "chain" |]
-      ~count:requests ()
-  in
-  let (), s =
-    Visor.Server.serve_fold server
-      (fun () ->
-        match next () with
-        | None -> None
-        | Some (endpoint, arrival) -> Some { Visor.Server.endpoint; arrival })
-      ~init:() ~f:(fun () _ -> ())
-  in
+  let s = serve_chain server ~requests ~qps ~seed in
   Visor.Server.shutdown server;
   Format.printf "served:      %d requests at %.1f qps (p99 %a)@." requests qps
     Sim.Units.pp s.Visor.Server.sm_p99_latency;
@@ -276,11 +280,10 @@ let parse_slo s =
       Error
         (Printf.sprintf "bad SLO spec %S (expected name:latency_ms:objective)" s)
 
-let serve_cmd requests qps seed cold domains batch sample_every soak duration
+let serve_cmd requests qps seed cold domains sample_every soak duration
     trace trace_out metrics_out slo_args csv_out prom_out tails =
   reset_observability ();
   Sim.Par.set_domains domains;
-  Sim.Par.set_batch batch;
   if trace then Sim.Trace.set_enabled Sim.Trace.global true;
   if trace || trace_out <> None || tails then
     Sim.Span.set_enabled Sim.Span.global true;
@@ -397,27 +400,15 @@ let serve_cmd requests qps seed cold domains batch sample_every soak duration
     | _ -> ())
   end
   else begin
-    (* Streamed seeded arrivals: constant memory in the request count,
-       same draws (one exponential per arrival) as materialising the
-       whole trace. *)
-    let next =
-      Baselines.Loadgen.request_stream ~seed ~qps ~endpoints:[| "chain" |]
-        ~count:requests ()
-    in
-    let r =
-      Visor.Server.serve_stream server (fun () ->
-          match next () with
-          | None -> None
-          | Some (endpoint, arrival) -> Some { Visor.Server.endpoint; arrival })
-    in
+    let s = serve_chain server ~requests ~qps ~seed in
     Format.printf "requests:     %d (%d ok, %d failed)@." requests
-      r.Visor.Server.completed r.Visor.Server.failed;
-    Format.printf "throughput:   %.1f req/s@." r.Visor.Server.throughput_rps;
-    Format.printf "latency:      p50 %a  p99 %a@." Sim.Units.pp r.Visor.Server.p50_latency
-      Sim.Units.pp r.Visor.Server.p99_latency;
-    Format.printf "max inflight: %d@." r.Visor.Server.max_inflight;
-    Format.printf "starts:       %d warm / %d cold@." r.Visor.Server.warm_starts
-      r.Visor.Server.cold_starts
+      s.Visor.Server.sm_completed s.Visor.Server.sm_failed;
+    Format.printf "throughput:   %.1f req/s@." s.Visor.Server.sm_throughput_rps;
+    Format.printf "latency:      p50 %a  p99 %a@." Sim.Units.pp
+      s.Visor.Server.sm_p50_latency Sim.Units.pp s.Visor.Server.sm_p99_latency;
+    Format.printf "max inflight: %d@." s.Visor.Server.sm_max_inflight;
+    Format.printf "starts:       %d warm / %d cold@." s.Visor.Server.sm_warm_starts
+      s.Visor.Server.sm_cold_starts
   end;
   (* SLO verdicts: compliance against objective, final burn rates, and
      the full deterministic alert log. *)
@@ -524,14 +515,6 @@ let domains_arg =
                  results (latencies, trace, metrics) are bit-identical for \
                  every value; only wall time changes.")
 
-let batch_arg =
-  Arg.(value & opt int 1
-       & info [ "batch" ]
-           ~doc:"Submissions each domain claims per shared-cursor fetch when \
-                 executing requests in parallel.  A host-side scheduling \
-                 knob only: virtual-time results are bit-identical for every \
-                 value.")
-
 let sample_every_arg =
   Arg.(value & opt int 1
        & info [ "sample-every" ]
@@ -609,7 +592,7 @@ let serve_info =
 let serve_term =
   Term.(
     const serve_cmd $ requests_arg $ qps_arg $ seed_arg $ cold_arg $ domains_arg
-    $ batch_arg $ sample_every_arg $ soak_arg $ duration_arg $ trace_arg
+    $ sample_every_arg $ soak_arg $ duration_arg $ trace_arg
     $ trace_out_arg $ metrics_out_arg $ slo_arg $ csv_out_arg $ prom_out_arg
     $ tails_arg)
 

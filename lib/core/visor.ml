@@ -685,29 +685,9 @@ module Server = struct
     r_retries : int;
   }
 
-  type serve_report = {
-    responses : response list;
-    completed : int;
-    failed : int;
-    duration : Units.time;
-    throughput_rps : float;
-    mean_latency : Units.time;
-    p50_latency : Units.time;
-    p99_latency : Units.time;
-    max_inflight : int;
-    warm_starts : int;
-    cold_starts : int;
-    adm_hits : int;
-    adm_scans : int;
-    evictions : int;
-    templates_live : int;
-    machine_peak_rss : int;
-  }
-
-  (* The aggregate half of a serve report: everything [serve_report]
-     carries except the materialised response list.  [serve_fold]
-     returns this alongside the caller's accumulator so a 10^6-request
-     run never has to hold its responses. *)
+  (* The aggregates of a serve.  [serve_fold] returns this alongside
+     the caller's accumulator, so a 10^6-request run never has to hold
+     its responses. *)
   type summary = {
     sm_completed : int;
     sm_failed : int;
@@ -747,14 +727,12 @@ module Server = struct
     mutable tpl_prev : template option;  (* towards most recent *)
     mutable tpl_next : template option;  (* towards least recent *)
     mutable tpl_linked : bool;
-    mutable tpl_free : Wfd.t list;
-        (* Recycled WFD shells ready for [Wfd.acquire] — pushed by
-           worker domains under the server's recycle mutex, popped by
-           the sequential prologue.  Availability therefore depends
-           only on the merged virtual timeline (how many requests of
-           this template completed cleanly in earlier windows), never
-           on host scheduling. *)
-    mutable tpl_free_n : int;
+    tpl_free : Wfd.t Pool.t;
+        (* Recycled WFD shells ready for [Wfd.acquire], capped at the
+           server's [recycle_cap].  Mutex-guarded: worker domains give
+           and take shells concurrently during a window's parallel
+           phase.  Which request gets a shell is host-order dependent,
+           which is fine because a shell is virtually a fresh clone. *)
     mutable tpl_doomed : bool;
         (* Set at eviction (always in a sequential phase): trajectories
            still running against this template destroy their WFDs
@@ -818,9 +796,6 @@ module Server = struct
     recycle_cap : int;
         (* Max pooled shells per template; 0 disables recycling (every
            request clones fresh and destroys, the historical path). *)
-    recycle_mu : Mutex.t;
-        (* Guards every [tpl_free] push/pop: workers release shells
-           concurrently during a window's parallel phase. *)
     mutable tel : telemetry option;
   }
 
@@ -858,7 +833,6 @@ module Server = struct
       machine_peak = 0;
       doomed = [];
       recycle_cap;
-      recycle_mu = Mutex.create ();
       tel = None;
     }
 
@@ -989,9 +963,7 @@ module Server = struct
            trajectories from pooling any more. *)
         lru_unlink t tpl;
         tpl.tpl_doomed <- true;
-        t.doomed <- List.rev_append tpl.tpl_free (tpl.tpl_wfd :: t.doomed);
-        tpl.tpl_free <- [];
-        tpl.tpl_free_n <- 0;
+        t.doomed <- List.rev_append (Pool.drain tpl.tpl_free) (tpl.tpl_wfd :: t.doomed);
         Hashtbl.remove t.templates tpl.tpl_ep;
         t.pool_bytes <- t.pool_bytes - tpl.tpl_rss;
         t.evicted <- t.evicted + 1;
@@ -1054,8 +1026,7 @@ module Server = struct
       tpl_prev = None;
       tpl_next = None;
       tpl_linked = false;
-      tpl_free = [];
-      tpl_free_n = 0;
+      tpl_free = Pool.shared ~cap:t.recycle_cap ();
       tpl_doomed = false;
     }
 
@@ -1081,22 +1052,6 @@ module Server = struct
 
   (* --- WFD shell pool (recycling) ---------------------------------- *)
 
-  (* Pop a recycled shell for a request booting against [tpl].  Called
-     from worker domains: which requests get shells is host-scheduling
-     dependent, which is fine because [Wfd.acquire] replays exactly the
-     virtual effects of a fresh clone — shell vs clone is virtually
-     indistinguishable, so only host cost depends on the pop order. *)
-  let pop_shell t tpl =
-    if t.recycle_cap = 0 then None
-    else
-      Mutex.protect t.recycle_mu (fun () ->
-          match tpl.tpl_free with
-          | [] -> None
-          | s :: rest ->
-              tpl.tpl_free <- rest;
-              tpl.tpl_free_n <- tpl.tpl_free_n - 1;
-              Some s)
-
   (* Return a finished clone of [tpl] to its shell pool — called from
      worker domains at the end of a clean warm attempt.  The host-only
      reset happens here, off the sequential merge path; over the cap or
@@ -1106,9 +1061,11 @@ module Server = struct
      depends only on plan-level state set in sequential phases
      (recycle cap, doom flags), never on the pool's momentary
      occupancy — which makes it the deterministic recycle signal the
-     telemetry layer records.  Whether an offered shell actually stays
-     pooled additionally depends on the cap check under the mutex,
-     i.e. on concurrent push order, so that outcome is host-only. *)
+     telemetry layer records.  Doom flags only change in sequential
+     phases, never while trajectories run, so reading one needs no
+     lock.  Whether an offered shell actually stays pooled additionally
+     depends on the cap, i.e. on concurrent push order, so that
+     outcome is host-only. *)
   let release_shell t tpl wfd =
     if t.recycle_cap = 0 || tpl.tpl_doomed || tpl.tpl_wfd.Wfd.destroyed then begin
       Wfd.destroy wfd;
@@ -1116,24 +1073,16 @@ module Server = struct
     end
     else begin
       Wfd.recycle ~template:tpl.tpl_wfd wfd;
-      let pooled =
-        Mutex.protect t.recycle_mu (fun () ->
-            tpl.tpl_free_n < t.recycle_cap
-            && not tpl.tpl_doomed
-            && begin
-                 tpl.tpl_free <- wfd :: tpl.tpl_free;
-                 tpl.tpl_free_n <- tpl.tpl_free_n + 1;
-                 true
-               end)
-      in
-      if not pooled then Wfd.destroy wfd;
+      if not (Pool.give tpl.tpl_free wfd) then Wfd.destroy wfd;
       true
     end
 
   let find_registration t endpoint =
     match Hashtbl.find_opt t.table endpoint with
     | Some reg -> reg
-    | None -> raise Not_found
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Visor.Server: unknown endpoint %S" endpoint)
 
   let prewarm t ~endpoint =
     let reg = find_registration t endpoint in
@@ -1150,7 +1099,7 @@ module Server = struct
 
   (* --- Host-parallel serving --------------------------------------- *)
 
-  (* [serve] runs in three phases:
+  (* [serve_fold] runs in three phases:
 
      Prologue (sequential): requests are walked in arrival-event order.
      Admission verdicts come off the shared cache, warm-or-cold boot
@@ -1244,7 +1193,7 @@ module Server = struct
      observable write goes to a segment shard, WFD ids come from the
      request's reserved namespace, faults and the disk image are
      request-private (unless the server was configured with a shared
-     pre-staged disk, in which case [serve] stays on one domain). *)
+     pre-staged disk, in which case [serve_fold] stays on one domain). *)
   let run_trajectory t ~cfg ~endpoint ~(reg : registration) ~boots ~fault_child
       =
     Hotspot.with_section "serve.trajectory" @@ fun () ->
@@ -1289,7 +1238,7 @@ module Server = struct
                      Fault-carrying requests clone fresh, matching
                      [acquire]'s fault-plan contract. *)
                   let shell =
-                    if a = 1 && fault_child = None then pop_shell t tpl
+                    if a = 1 && fault_child = None then Pool.take_opt tpl.tpl_free
                     else None
                   in
                   let vfs =
@@ -1492,7 +1441,7 @@ module Server = struct
           { pl_reg = reg; pl_boots = boots; pl_base = base; pl_fault = fault_child }
     | exception Admission_failed _ -> None
 
-  (* [serve_stream] pulls requests lazily (arrivals must be
+  (* [serve_fold] pulls requests lazily (arrivals must be
      nondecreasing) and pipelines them through the three phases in
      windows, so live memory is O(window + in-flight), never O(total):
 
@@ -1518,11 +1467,9 @@ module Server = struct
      spans and trace events; metrics and counters stay exact for every
      request.  With k = 1 output is bit-identical to always-on.
 
-     [serve_fold] is the primitive: each response is handed to the
-     caller's [f] at its completion instant (completion order — the
-     merged virtual timeline) and never stored.  [serve]/[serve_stream]
-     are thin wrappers that fold into a list, so their output is
-     byte-identical to the historical materialising implementation. *)
+     Each response is handed to the caller's [f] at its completion
+     instant (completion order — the merged virtual timeline) and never
+     stored. *)
   let serve_fold t ?(window = 2048) next ~init ~f =
     if window < 1 then invalid_arg "Visor.Server.serve_fold: window must be >= 1";
     let max_attempts = max_attempts_of t.scfg in
@@ -1673,12 +1620,16 @@ module Server = struct
             (fun m -> Slo.observe_request m ~at:now ~ok ~latency)
             tel.tel_slos
     in
+    (* A request rejected at admission ([ms_traj = None]) finishes at
+       its arrival instant: it never executed, so it holds no resident
+       set and takes no request-latency observation. *)
     let finish_request ms ~now ~ok =
       decr inflight_now;
       let latency = Units.sub now ms.ms_req.arrival in
+      let executed = Option.is_some ms.ms_traj in
       Span.set_attr (Span.current ()) ms.ms_span "ok" (string_of_bool ok);
       Span.end_span (Span.current ()) ms.ms_span ~at:now;
-      Metrics.observe_time req_histo latency;
+      if executed then Metrics.observe_time req_histo latency;
       if ok then begin
         incr completed;
         Stats.add_time lat latency
@@ -1701,7 +1652,7 @@ module Server = struct
             r_retries =
               (match ms.ms_traj with Some tj -> tj.tj_retries | None -> 0);
           };
-      set_rss ms 0
+      if executed then set_rss ms 0
     in
     (* Begin the next attempt at [now]: counters, the boot segment's
        shard (its "boot"/"retry" span attaches under the request), and
@@ -1821,28 +1772,7 @@ module Server = struct
             | Some tj ->
                 ms.ms_attempts_left <- tj.tj_attempts;
                 start_attempt ms ~now
-            | None ->
-                (* Rejected at admission: fails immediately, off the
-                   execution path. *)
-                Span.set_attr (Span.current ()) ms.ms_span "ok" "false";
-                Span.end_span (Span.current ()) ms.ms_span ~at:now;
-                decr inflight_now;
-                incr failed;
-                tel_finish ~now ~endpoint:ms.ms_req.endpoint ~latency:Units.zero
-                  ~ok:false ~released:false;
-                last_finish := Units.max !last_finish now;
-                acc :=
-                  f !acc
-                    {
-                      r_endpoint = ms.ms_req.endpoint;
-                      r_arrival = ms.ms_req.arrival;
-                      r_finish = now;
-                      r_latency = Units.zero;
-                      r_warm = false;
-                      r_ok = false;
-                      r_attempts = 0;
-                      r_retries = 0;
-                    })
+            | None -> finish_request ms ~now ~ok:false)
         | Advance ms -> step ms ~now
     in
     pump ();
@@ -1888,54 +1818,10 @@ module Server = struct
         sm_latency_sketched = t.sketch_lat;
       } )
 
-  let report_of_summary responses (s : summary) =
-    {
-      responses;
-      completed = s.sm_completed;
-      failed = s.sm_failed;
-      duration = s.sm_duration;
-      throughput_rps = s.sm_throughput_rps;
-      mean_latency = s.sm_mean_latency;
-      p50_latency = s.sm_p50_latency;
-      p99_latency = s.sm_p99_latency;
-      max_inflight = s.sm_max_inflight;
-      warm_starts = s.sm_warm_starts;
-      cold_starts = s.sm_cold_starts;
-      adm_hits = s.sm_adm_hits;
-      adm_scans = s.sm_adm_scans;
-      evictions = s.sm_evictions;
-      templates_live = s.sm_templates_live;
-      machine_peak_rss = s.sm_machine_peak_rss;
-    }
-
-  (* Materialising wrapper: fold into a (reversed) list.  Responses are
-     accumulated exactly as the historical implementation did, so the
-     report is byte-identical. *)
-  let serve_stream t ?window next =
-    let rev, s = serve_fold t ?window next ~init:[] ~f:(fun acc r -> r :: acc) in
-    report_of_summary (List.rev rev) s
-
-  (* List entry point: sort by arrival (stable, so same-instant
-     requests keep list order) and stream.  Identical to the streaming
-     path in every observable way. *)
-  let serve t requests =
-    let sorted =
-      List.stable_sort (fun a b -> Units.compare a.arrival b.arrival) requests
-    in
-    let rem = ref sorted in
-    serve_stream t (fun () ->
-        match !rem with
-        | [] -> None
-        | r :: tl ->
-            rem := tl;
-            Some r)
-
   let shutdown t =
     Hashtbl.iter
       (fun _ tpl ->
-        List.iter Wfd.destroy tpl.tpl_free;
-        tpl.tpl_free <- [];
-        tpl.tpl_free_n <- 0;
+        List.iter Wfd.destroy (Pool.drain tpl.tpl_free);
         tpl.tpl_doomed <- true;
         Wfd.destroy tpl.tpl_wfd)
       t.templates;

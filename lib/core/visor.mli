@@ -195,28 +195,9 @@ module Server : sig
     r_retries : int;  (** Function restarts across all attempts. *)
   }
 
-  type serve_report = {
-    responses : response list;  (** In completion order. *)
-    completed : int;
-    failed : int;
-    duration : Sim.Units.time;  (** First arrival to last finish. *)
-    throughput_rps : float;
-    mean_latency : Sim.Units.time;
-    p50_latency : Sim.Units.time;
-    p99_latency : Sim.Units.time;
-    max_inflight : int;  (** Peak concurrently-executing workflows. *)
-    warm_starts : int;
-    cold_starts : int;
-    adm_hits : int;
-    adm_scans : int;
-    evictions : int;
-    templates_live : int;
-    machine_peak_rss : int;
-  }
-
-  (** The aggregate half of a {!serve_report}: everything except the
-      materialised response list.  Returned by {!serve_fold}, whose
-      whole point is never to hold the responses. *)
+  (** What a serve reports besides its responses: completion counts,
+      latency percentiles and pool counters.  Returned by
+      {!serve_fold}, which never holds the responses themselves. *)
   type summary = {
     sm_completed : int;
     sm_failed : int;
@@ -338,30 +319,8 @@ module Server : sig
   (** Build (or touch) the endpoint's template off the request path.
       Returns the template build time, or [None] if the pool is
       disabled or the template exceeds the whole memory cap.  Raises
-      [Not_found] for an unknown endpoint. *)
-
-  val serve : t -> request list -> serve_report
-  (** Run an open-loop trace to completion: arrivals fire at their
-      timestamps regardless of completions, stages of distinct in-flight
-      workflows interleave over the shared cores via the event queue.
-      Requests are served in arrival order (the list is stably sorted
-      by arrival first).  A request for an unregistered endpoint raises
-      [Not_found]; an image rejected at admission fails that request
-      (not the server).  Workflow-level retry ([Retry_workflow])
-      re-boots failed requests in fresh WFDs up to the attempt
-      budget. *)
-
-  val serve_stream :
-    t -> ?window:int -> (unit -> request option) -> serve_report
-  (** Streaming variant of {!serve}: requests are pulled lazily from
-      the generator ([None] ends the run) and pipelined through
-      planning, parallel trajectory execution and the merge loop in
-      windows of [window] requests (default 2048), so live host memory
-      is O(window + in-flight) — constant in the total request count
-      {e except} for the materialised response list it returns.
-      Virtual output is bit-identical to {!serve} on the materialised
-      list, for every window size and domain count.  Arrivals must be
-      nondecreasing; otherwise raises [Invalid_argument]. *)
+      [Invalid_argument] naming the endpoint when it is not
+      registered. *)
 
   val serve_fold :
     t ->
@@ -370,16 +329,31 @@ module Server : sig
     init:'a ->
     f:('a -> response -> 'a) ->
     'a * summary
-  (** The streaming primitive under {!serve} and {!serve_stream}: each
-      response is handed to [f] at its completion instant (completion
-      order on the merged virtual timeline) and never stored, so live
-      host memory is O(window + in-flight) with {e no} term linear in
-      the request count — combined with [sketch_latency] on {!create},
-      a 10^6-request run is constant-memory.  [f] runs on the merge
-      (main) domain, interleaved with event processing; it must not
-      call back into the server.  The virtual timeline, and hence the
-      response sequence, is bit-identical to {!serve}/{!serve_stream}
-      at every window size and domain count. *)
+  (** Run an open-loop trace to completion.  Requests are pulled
+      lazily from the generator ([None] ends the run); arrivals fire at
+      their timestamps regardless of completions, and stages of
+      distinct in-flight workflows interleave over the shared cores via
+      the event queue.  Each response is handed to [f] at its
+      completion instant (completion order on the merged virtual
+      timeline) and never stored.
+
+      Requests are pipelined through planning, parallel trajectory
+      execution and the merge loop in windows of [window] requests
+      (default 2048), so live host memory is O(window + in-flight) with
+      no term linear in the request count — combined with
+      [sketch_latency] on {!create}, a 10^6-request run is
+      constant-memory.  The virtual timeline, and hence the response
+      sequence, is bit-identical at every window size and domain
+      count.
+
+      [f] runs on the merge (main) domain, interleaved with event
+      processing; it must not call back into the server.  Arrivals
+      must be nondecreasing and a request's endpoint must be
+      registered; otherwise raises [Invalid_argument] (naming the
+      endpoint in the second case).  An image rejected at admission
+      fails that request (not the server).  Workflow-level retry
+      ([Retry_workflow]) re-boots failed requests in fresh WFDs up to
+      the attempt budget. *)
 
   val pool_size : t -> int
   val pool_rss : t -> int

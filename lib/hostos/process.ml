@@ -28,29 +28,13 @@ let reset_table t =
    worker domain, so the freelist needs no locks.  Tables are scrubbed
    on release ([reset_table]), so an acquired table is observationally
    a fresh one — same pids, tids and (empty) process set. *)
-type table_pool = { mutable tp_items : t list; mutable tp_len : int }
+let table_pool : t Sim.Pool.t = Sim.Pool.per_domain ~cap:64 ()
 
-let table_pool_cap = 64
-
-let table_pool_key : table_pool Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { tp_items = []; tp_len = 0 })
-
-let acquire_table () =
-  let tp = Domain.DLS.get table_pool_key in
-  match tp.tp_items with
-  | t :: rest ->
-      tp.tp_items <- rest;
-      tp.tp_len <- tp.tp_len - 1;
-      t
-  | [] -> create_table ()
+let acquire_table () = Sim.Pool.take table_pool ~fresh:create_table
 
 let release_table t =
   reset_table t;
-  let tp = Domain.DLS.get table_pool_key in
-  if tp.tp_len < table_pool_cap then begin
-    tp.tp_items <- t :: tp.tp_items;
-    tp.tp_len <- tp.tp_len + 1
-  end
+  ignore (Sim.Pool.give table_pool t)
 
 let fresh_tid t =
   let tid = t.next_tid in

@@ -55,69 +55,6 @@ let pool ~cores = pool_at ~cores Units.zero
 
 let pool_cores pool = Array.length pool.free_at
 
-(* Per-domain freelists of released pool copies, keyed by core count:
-   a [copy_pool] after a same-width [release_pool] blits into the
-   recycled arrays instead of allocating three fresh ones.  Domain-
-   local, so parallel trajectory workers never contend. *)
-type pool_freelist = { mutable fl_items : pool list; mutable fl_len : int }
-
-let freelist_cap = 64
-
-let freelist_key : (int, pool_freelist) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-let copy_pool pool =
-  Sim.Hotspot.with_section "sched.copy_pool" @@ fun () ->
-  let n = Array.length pool.free_at in
-  let recycled =
-    match Hashtbl.find_opt (Domain.DLS.get freelist_key) n with
-    | Some ({ fl_items = dst :: rest; _ } as fl) ->
-        fl.fl_items <- rest;
-        fl.fl_len <- fl.fl_len - 1;
-        Some dst
-    | _ -> None
-  in
-  match recycled with
-  | Some dst ->
-      Array.blit pool.free_at 0 dst.free_at 0 n;
-      Array.blit pool.heap 0 dst.heap 0 n;
-      Array.blit pool.pos 0 dst.pos 0 n;
-      dst.busy <- pool.busy;
-      dst
-  | None ->
-      {
-        free_at = Array.copy pool.free_at;
-        heap = Array.copy pool.heap;
-        pos = Array.copy pool.pos;
-        busy = pool.busy;
-      }
-
-let release_pool pool =
-  let n = Array.length pool.free_at in
-  let tbl = Domain.DLS.get freelist_key in
-  let fl =
-    match Hashtbl.find_opt tbl n with
-    | Some fl -> fl
-    | None ->
-        let fl = { fl_items = []; fl_len = 0 } in
-        Hashtbl.add tbl n fl;
-        fl
-  in
-  if fl.fl_len < freelist_cap then begin
-    fl.fl_items <- pool :: fl.fl_items;
-    fl.fl_len <- fl.fl_len + 1
-  end
-
-let restore_pool dst src =
-  Sim.Hotspot.with_section "sched.restore_pool" @@ fun () ->
-  let n = Array.length dst.free_at in
-  if n <> Array.length src.free_at then
-    invalid_arg "Sched.restore_pool: core counts differ";
-  Array.blit src.free_at 0 dst.free_at 0 n;
-  Array.blit src.heap 0 dst.heap 0 n;
-  Array.blit src.pos 0 dst.pos 0 n;
-  dst.busy <- src.busy
-
 (* Rewind a pool to the all-cores-free state at [t0] in place: the
    identity permutation is a valid heap when every key is (t0, c). *)
 let reset_pool pool t0 =

@@ -22,25 +22,6 @@ val pool : cores:int -> pool
 
 val pool_cores : pool -> int
 
-val copy_pool : pool -> pool
-(** Snapshot of the pool's per-core busy horizons.  {!schedule_on}
-    mutates the pool it is given, so planners probing placements
-    (what-if scheduling, parallel merges) work on a copy and leave the
-    shared horizons untouched. *)
-
-val restore_pool : pool -> pool -> unit
-(** [restore_pool dst src] overwrites [dst]'s horizons with [src]'s
-    (checkpoint rollback).  Raises [Invalid_argument] when the core
-    counts differ. *)
-
-val release_pool : pool -> unit
-(** Return a {!copy_pool} snapshot to the calling domain's freelist:
-    the next same-width [copy_pool] on this domain blits into its
-    arrays instead of allocating.  The freelist takes ownership — the
-    caller must not touch the pool afterwards.  Never release a pool
-    other code still schedules on (e.g. a {!scratch} arena or the
-    shared serving pool). *)
-
 val reset_pool : pool -> Sim.Units.time -> unit
 (** [reset_pool p t0] rewinds [p] in place to the freshly-created
     all-cores-free-at-[t0] state, without allocating. *)

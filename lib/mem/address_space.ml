@@ -83,35 +83,23 @@ let c_tlb_flush = Sim.Stats.Counter.make "mem.tlb.flush"
    on a per-domain freelist instead; acquire re-zeroes the backing
    (demand-zero semantics are observable through loads) and resets the
    metadata, so a recycled page is indistinguishable from a fresh one.
-   Per-domain (DLS, no locks) because page churn is per-request work
-   that stays on the worker domain that runs the request. *)
+   Per-domain (no locks) because page churn is per-request work that
+   stays on the worker domain that runs the request. *)
 
-type page_pool = { mutable pp_items : Page.t list; mutable pp_len : int }
+let page_pool : Page.t Sim.Pool.t = Sim.Pool.per_domain ~cap:4096 ()
+let blank_page () = Page.create ()
 
-let page_pool_cap = 4096
-let page_pool_key = Domain.DLS.new_key (fun () -> { pp_items = []; pp_len = 0 })
-
+(* Scrub on take: a fresh page passes through the same resets as a
+   no-op, so both paths return the same state. *)
 let acquire_page ~perm ~pkey =
-  let pool = Domain.DLS.get page_pool_key in
-  match pool.pp_items with
-  | p :: rest ->
-      pool.pp_items <- rest;
-      pool.pp_len <- pool.pp_len - 1;
-      p.Page.perm <- perm;
-      p.Page.pkey <- pkey;
-      p.Page.populated <- false;
-      (match p.Page.store with
-      | Some b -> Bytes.fill b 0 Page.size '\000'
-      | None -> ());
-      p
-  | [] -> Page.create ~perm ~pkey ()
+  let p = Sim.Pool.take page_pool ~fresh:blank_page in
+  p.Page.perm <- perm;
+  p.Page.pkey <- pkey;
+  p.Page.populated <- false;
+  (match p.Page.store with Some b -> Bytes.fill b 0 Page.size '\000' | None -> ());
+  p
 
-let release_page p =
-  let pool = Domain.DLS.get page_pool_key in
-  if pool.pp_len < page_pool_cap then begin
-    pool.pp_items <- p :: pool.pp_items;
-    pool.pp_len <- pool.pp_len + 1
-  end
+let release_page p = ignore (Sim.Pool.give page_pool p)
 
 let create ?(tlb = true) () =
   let dummy_page = Page.create () in

@@ -171,38 +171,16 @@ let child t ~index =
    zeroes counters and reseeds every stream), so a crashed request's
    counters can never leak into the next request through the pool. *)
 
-let child_pool : t list ref = ref []
-let child_pool_len = ref 0
-let child_pool_mu = Mutex.create ()
-let child_pool_cap = 4096
+let children : t Pool.t = Pool.shared ~cap:4096 ()
+let blank_child () = { plan_seed = 0; trace = None; table = Hashtbl.create 8 }
 
 let acquire_child t ~index =
-  let seed = derive_child_seed t ~index in
-  let pooled =
-    Mutex.protect child_pool_mu (fun () ->
-        match !child_pool with
-        | c :: rest ->
-            child_pool := rest;
-            decr child_pool_len;
-            Some c
-        | [] -> None)
-  in
-  match pooled with
-  | Some c ->
-      c.plan_seed <- seed;
-      refit c t;
-      c
-  | None ->
-      let c = { plan_seed = seed; trace = None; table = Hashtbl.create 8 } in
-      refit c t;
-      c
+  let c = Pool.take children ~fresh:blank_child in
+  c.plan_seed <- derive_child_seed t ~index;
+  refit c t;
+  c
 
-let release_child c =
-  Mutex.protect child_pool_mu (fun () ->
-      if !child_pool_len < child_pool_cap then begin
-        child_pool := c :: !child_pool;
-        incr child_pool_len
-      end)
+let release_child c = ignore (Pool.give children c)
 
 (* Fold a finished child's occurrence/fire counts back into the parent
    so plan-level accounting ([fired], [schedule], ...) covers the whole

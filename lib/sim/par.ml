@@ -20,15 +20,6 @@ let domain_count = Atomic.make 1
 let set_domains n = Atomic.set domain_count (if n < 1 then 1 else n)
 let domains () = Atomic.get domain_count
 
-(* Submissions claimed per atomic fetch in [run]: batching amortises
-   the shared-cursor contention when tasks are small.  Results stay
-   indexed by submission position, so any batch size produces
-   byte-identical output. *)
-let batch_size = Atomic.make 1
-
-let set_batch k = Atomic.set batch_size (if k < 1 then 1 else k)
-let batch () = Atomic.get batch_size
-
 (* The pool width that matches the machine: the runtime's recommended
    domain count, never less than 1.  Spinning up more domains than
    cores (the old [min 4 ...] default did exactly that on a 1-core
@@ -53,18 +44,6 @@ let shard_config () =
   {
     cfg_span_on = Span.enabled (Span.current ());
     cfg_trace_on = Trace.enabled (Trace.current ());
-  }
-
-let make_shard cfg =
-  let sp = Span.create () in
-  Span.set_enabled sp cfg.cfg_span_on;
-  let tr = Trace.create () in
-  Trace.set_enabled tr cfg.cfg_trace_on;
-  {
-    sh_span = sp;
-    sh_trace = tr;
-    sh_metrics = Metrics.create_registry ();
-    sh_counters = Stats.Counter.create_registry ();
   }
 
 let with_shard shard f =
@@ -109,10 +88,7 @@ let merge_shard ?(attach = Span.none) ?(offset = Units.zero) shard =
    replayed): the pool takes ownership.  Exception paths may simply
    drop shards — the pool is an optimisation, not a ledger. *)
 
-let shard_pool : shard list ref = ref []
-let shard_pool_len = ref 0
-let shard_pool_mu = Mutex.create ()
-let shard_pool_cap = 4096
+let shards : shard Pool.t = Pool.shared ~cap:4096 ()
 
 let scrub_shard sh =
   Span.clear sh.sh_span;
@@ -123,67 +99,46 @@ let scrub_shard sh =
   Metrics.reset_registry sh.sh_metrics;
   Stats.Counter.reset_registry sh.sh_counters
 
+let blank_shard () =
+  {
+    sh_span = Span.create ();
+    sh_trace = Trace.create ();
+    sh_metrics = Metrics.create_registry ();
+    sh_counters = Stats.Counter.create_registry ();
+  }
+
 let acquire_shard cfg =
-  let pooled =
-    Mutex.protect shard_pool_mu (fun () ->
-        match !shard_pool with
-        | sh :: rest ->
-            shard_pool := rest;
-            decr shard_pool_len;
-            Some sh
-        | [] -> None)
-  in
-  match pooled with
-  | Some sh ->
-      Span.set_enabled sh.sh_span cfg.cfg_span_on;
-      Trace.set_enabled sh.sh_trace cfg.cfg_trace_on;
-      sh
-  | None -> make_shard cfg
+  let sh = Pool.take shards ~fresh:blank_shard in
+  Span.set_enabled sh.sh_span cfg.cfg_span_on;
+  Trace.set_enabled sh.sh_trace cfg.cfg_trace_on;
+  sh
 
 let release_shard sh =
   scrub_shard sh;
-  Mutex.protect shard_pool_mu (fun () ->
-      if !shard_pool_len < shard_pool_cap then begin
-        shard_pool := sh :: !shard_pool;
-        incr shard_pool_len
-      end)
-
-let shard_pool_size () = Mutex.protect shard_pool_mu (fun () -> !shard_pool_len)
+  ignore (Pool.give shards sh)
 
 (* --- The pool ------------------------------------------------------ *)
 
 (* Run [tasks] and return their results by submission index.  Work is
-   claimed from a shared atomic cursor, [batch] contiguous submissions
-   per fetch (default: the [set_batch] global); the submitting domain
-   participates, so [domains () = 1] costs no spawn.  Batching only
-   changes which domain runs which task — results and errors stay
-   keyed by submission index, so output is byte-identical at any
-   batch size.  The first failing task *by submission index*
-   re-raises after every domain has joined — completion order never
-   leaks, even through errors. *)
-let run ?batch (tasks : (unit -> 'a) array) : 'a array =
+   claimed one submission at a time from a shared atomic cursor; the
+   submitting domain participates, so [domains () = 1] costs no spawn.
+   The first failing task *by submission index* re-raises after every
+   domain has joined — completion order never leaks, even through
+   errors. *)
+let run (tasks : (unit -> 'a) array) : 'a array =
   let n = Array.length tasks in
   let d = min (domains ()) n in
-  let k =
-    match batch with
-    | Some k when k >= 1 -> k
-    | Some _ -> 1
-    | None -> Atomic.get batch_size
-  in
   if d <= 1 then Array.map (fun f -> f ()) tasks
   else begin
     let results : 'a option array = Array.make n None in
     let errors : exn option array = Array.make n None in
     let next = Atomic.make 0 in
     let rec worker () =
-      let base = Atomic.fetch_and_add next k in
-      if base < n then begin
-        let stop = Stdlib.min n (base + k) in
-        for i = base to stop - 1 do
-          match tasks.(i) () with
-          | v -> results.(i) <- Some v
-          | exception e -> errors.(i) <- Some e
-        done;
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (match tasks.(i) () with
+        | v -> results.(i) <- Some v
+        | exception e -> errors.(i) <- Some e);
         worker ()
       end
     in
@@ -197,5 +152,3 @@ let run ?batch (tasks : (unit -> 'a) array) : 'a array =
     (match !first_error with Some e -> raise e | None -> ());
     Array.map (function Some v -> v | None -> assert false) results
   end
-
-let map f arr = run (Array.map (fun x () -> f x) arr)

@@ -167,11 +167,11 @@ let test_warm_clone_zero_recompiles () =
     List.init n (fun i ->
         { Visor.Server.endpoint = "e"; arrival = Units.ms (i * 50) })
   in
-  let report = Visor.Server.serve server requests in
+  let _, s = Serve_list.serve server requests in
   let cache = Visor.Server.code_cache server in
-  Alcotest.(check int) "all served" n report.Visor.Server.completed;
+  Alcotest.(check int) "all served" n s.Visor.Server.sm_completed;
   Alcotest.(check bool) "warm clones happened" true
-    (report.Visor.Server.warm_starts > 0);
+    (s.Visor.Server.sm_warm_starts > 0);
   Alcotest.(check int) "one compile for the whole run" 1
     (Wasm.Compile_cache.miss_count cache);
   Alcotest.(check int) "every other load hit" (n - 1)

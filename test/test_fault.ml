@@ -357,6 +357,47 @@ let test_disabled_plan_costs_nothing () =
   Alcotest.check check_time "e2e" a.Visor.e2e b.Visor.e2e;
   Alcotest.(check int) "no retries" 0 a.Visor.retries
 
+(* --- child-plan pool --- *)
+
+(* A recycled child must be indistinguishable from [Fault.child], the
+   unpooled reference: the pool's most recent entry is deliberately a
+   dirty child (counters advanced, fired) of the same plan. *)
+let pooled_child_matches_fresh =
+  let sites = [ "a"; "b"; "c"; "d" ] in
+  let open QCheck.Gen in
+  let trigger =
+    oneof
+      [
+        return Fault.Always;
+        map (fun p -> Fault.Probability p) (float_bound_inclusive 1.0);
+        map (fun n -> Fault.Nth n) (int_range 1 5);
+        map (fun n -> Fault.First n) (int_range 1 5);
+        map (fun n -> Fault.Every n) (int_range 1 5);
+      ]
+  in
+  let rule = triple (oneofl sites) trigger (opt (int_range 1 3)) in
+  let gen =
+    quad (int_bound 1_000_000) (list_size (int_range 1 4) rule) (int_bound 10_000)
+      (int_bound 10_000)
+  in
+  QCheck.Test.make ~name:"fault: pooled child decides like a fresh child" ~count:200
+    (QCheck.make gen) (fun (seed, rules, dirty_index, index) ->
+      let plan = Fault.create ~seed () in
+      List.iter (fun (site, trig, max_fires) -> Fault.inject plan ~site ?max_fires trig) rules;
+      let decisions c =
+        List.concat_map (fun site -> List.init 12 (fun _ -> Fault.check c ~site)) sites
+      in
+      let dirty = Fault.acquire_child plan ~index:dirty_index in
+      ignore (decisions dirty);
+      Fault.release_child dirty;
+      let pooled = Fault.acquire_child plan ~index in
+      let fresh = Fault.child plan ~index in
+      let got = decisions pooled in
+      let want = decisions fresh in
+      let same = got = want && Fault.schedule pooled = Fault.schedule fresh in
+      Fault.release_child pooled;
+      same)
+
 let suite =
   [
     Alcotest.test_case "same seed same schedule" `Quick test_same_seed_same_schedule;
@@ -380,4 +421,5 @@ let suite =
     Alcotest.test_case "chaos run reproducible" `Quick test_chaos_run_reproducible;
     Alcotest.test_case "chaos seed changes schedule" `Quick test_chaos_seed_changes_schedule;
     Alcotest.test_case "disabled plan costs nothing" `Quick test_disabled_plan_costs_nothing;
+    QCheck_alcotest.to_alcotest pooled_child_matches_fresh;
   ]

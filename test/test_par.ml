@@ -1,7 +1,7 @@
 (* Tests for Sim.Par, the host domain pool: virtual-time outputs must
    be bit-identical whatever the domain count, shared caches must stay
-   coherent under concurrent clients, and pool snapshots must round
-   trip.  Domain counts deliberately exceed the machine's cores — the
+   coherent under concurrent clients, and recycled objects must never
+   leak state.  Domain counts deliberately exceed the machine's cores — the
    determinism contract is independent of physical parallelism. *)
 
 open Sim
@@ -34,68 +34,54 @@ let test_run_first_error_wins () =
       | _ -> Alcotest.fail "expected a failure"
       | exception Failure msg -> Alcotest.(check string) "lowest index" "3" msg)
 
-(* --- Sched pool snapshot / restore -------------------------------- *)
+(* --- Sim.Pool: cap, LIFO reuse and the domain rules of both flavours *)
 
-let test_pool_snapshot_roundtrip () =
-  let pool = Hostos.Sched.pool ~cores:2 in
-  let durations = List.map Units.ms [ 4; 7; 2; 9 ] in
-  ignore (Hostos.Sched.schedule_on pool durations);
-  let snap = Hostos.Sched.copy_pool pool in
-  let probe = Hostos.Sched.schedule_on pool (List.map Units.ms [ 5; 5 ]) in
-  Alcotest.(check bool) "probe advanced the horizons" true
-    (Units.( > ) (Hostos.Sched.busy_until pool) (Hostos.Sched.busy_until snap));
-  Hostos.Sched.restore_pool pool snap;
-  Alcotest.(check bool) "restore rolled the horizons back" true
-    (Units.equal (Hostos.Sched.busy_until pool) (Hostos.Sched.busy_until snap));
-  let replay = Hostos.Sched.schedule_on pool (List.map Units.ms [ 5; 5 ]) in
-  Alcotest.(check bool) "replay reproduces the probe placements" true (replay = probe);
-  match
-    Hostos.Sched.restore_pool (Hostos.Sched.pool ~cores:3) snap
-  with
-  | () -> Alcotest.fail "core-count mismatch must be rejected"
+let test_give_past_cap () =
+  let p = Pool.per_domain ~cap:2 () in
+  Alcotest.(check bool) "first kept" true (Pool.give p "a");
+  Alcotest.(check bool) "second kept" true (Pool.give p "b");
+  Alcotest.(check bool) "past the cap refused" false (Pool.give p "c");
+  Alcotest.(check (list string)) "refused object not kept" [ "b"; "a" ] (Pool.drain p);
+  Alcotest.(check (list string)) "drained" [] (Pool.drain p);
+  let none = Pool.shared ~cap:0 () in
+  Alcotest.(check bool) "cap 0 keeps nothing" false (Pool.give none 1);
+  Alcotest.(check (option int)) "cap 0 stays empty" None (Pool.take_opt none);
+  match Pool.shared ~cap:(-1) () with
+  | (_ : int Pool.t) -> Alcotest.fail "negative cap must be rejected"
   | exception Invalid_argument _ -> ()
 
-(* --- Batched work claiming ----------------------------------------- *)
+let test_reuse_is_lifo () =
+  List.iter
+    (fun (label, p) ->
+      List.iter (fun x -> ignore (Pool.give p x)) [ 1; 2; 3 ];
+      let fresh () = 0 in
+      let taken = List.init 4 (fun _ -> Pool.take p ~fresh) in
+      Alcotest.(check (list int)) (label ^ ": most recent first, then fresh")
+        [ 3; 2; 1; 0 ] taken)
+    [ ("per-domain", Pool.per_domain ~cap:8 ()); ("shared", Pool.shared ~cap:8 ()) ]
 
-let test_run_batched_submission_order () =
-  (* Results stay keyed by submission index at any batch size,
-     including batches larger than the task count. *)
-  with_domains 8 (fun () ->
-      List.iter
-        (fun k ->
-          let results = Par.run ~batch:k (Array.init 100 (fun i () -> i * 3)) in
-          Alcotest.(check int) "all results" 100 (Array.length results);
-          Array.iteri
-            (fun i v ->
-              Alcotest.(check int) (Printf.sprintf "batch %d slot %d" k i) (i * 3) v)
-            results)
-        [ 1; 2; 8; 64; 1000 ])
+let test_per_domain_isolated () =
+  let p = Pool.per_domain ~cap:8 () in
+  ignore (Pool.give p "main");
+  let seen, gave =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let seen = Pool.take_opt p in
+           (seen, Pool.give p "worker")))
+  in
+  Alcotest.(check (option string)) "other domain sees none of ours" None seen;
+  Alcotest.(check bool) "other domain pools its own" true gave;
+  Alcotest.(check (list string)) "ours untouched by the other domain" [ "main" ]
+    (Pool.drain p)
 
-let test_run_batched_first_error_wins () =
-  with_domains 8 (fun () ->
-      let task i () = if i mod 3 = 0 && i > 0 then failwith (string_of_int i) else i in
-      match Par.run ~batch:8 (Array.init 32 (fun i -> task i)) with
-      | _ -> Alcotest.fail "expected a failure"
-      | exception Failure msg -> Alcotest.(check string) "lowest index" "3" msg)
-
-(* --- Sched pool copy recycling ------------------------------------- *)
-
-let test_pool_release_recycles () =
-  (* A released snapshot's arrays are reused by the next same-width
-     copy; the recycled copy must behave exactly like a fresh one. *)
-  let pool = Hostos.Sched.pool ~cores:4 in
-  ignore (Hostos.Sched.schedule_on pool (List.map Units.ms [ 3; 1; 4; 1; 5 ]));
-  let snap = Hostos.Sched.copy_pool pool in
-  Hostos.Sched.release_pool snap;
-  ignore (Hostos.Sched.schedule_on pool (List.map Units.ms [ 9; 2 ]));
-  let snap2 = Hostos.Sched.copy_pool pool in
-  Alcotest.(check bool) "recycled copy captures the current horizons" true
-    (Units.equal (Hostos.Sched.busy_until snap2) (Hostos.Sched.busy_until pool));
-  let probe = Hostos.Sched.schedule_on pool (List.map Units.ms [ 2; 2; 2 ]) in
-  Hostos.Sched.restore_pool pool snap2;
-  let replay = Hostos.Sched.schedule_on pool (List.map Units.ms [ 2; 2; 2 ]) in
-  Alcotest.(check bool) "replay reproduces the probe after restore" true
-    (replay = probe)
+let test_shared_cross_domain_release () =
+  let p = Pool.shared ~cap:8 () in
+  let obj = Pool.take p ~fresh:(fun () -> Bytes.create 16) in
+  let kept = Domain.join (Domain.spawn (fun () -> Pool.give p obj)) in
+  Alcotest.(check bool) "release from another domain accepted" true kept;
+  match Pool.take_opt p with
+  | Some b -> Alcotest.(check bool) "same object comes back" true (b == obj)
+  | None -> Alcotest.fail "released object missing"
 
 (* --- Compile cache under concurrent clients ----------------------- *)
 
@@ -174,11 +160,11 @@ let serve_once ?config ~requests () =
     (fun (endpoint, workflow, bindings) ->
       Visor.Server.register server ~endpoint ~workflow ~bindings ())
     endpoints_spec;
-  let r = Visor.Server.serve server requests in
+  let r = Serve_list.serve server requests in
   Visor.Server.shutdown server;
   r
 
-let fingerprint (r : Visor.Server.serve_report) =
+let fingerprint ((responses, _) : Visor.Server.response list * Visor.Server.summary) =
   String.concat ";"
     (List.map
        (fun (p : Visor.Server.response) ->
@@ -187,13 +173,13 @@ let fingerprint (r : Visor.Server.serve_report) =
            (Units.to_ns p.Visor.Server.r_finish)
            p.Visor.Server.r_warm p.Visor.Server.r_ok p.Visor.Server.r_attempts
            p.Visor.Server.r_retries)
-       r.Visor.Server.responses)
+       responses)
 
-let summary (r : Visor.Server.serve_report) =
-  Printf.sprintf "%d/%d w%d c%d h%d s%d e%d rss%d infl%d" r.Visor.Server.completed
-    r.Visor.Server.failed r.Visor.Server.warm_starts r.Visor.Server.cold_starts
-    r.Visor.Server.adm_hits r.Visor.Server.adm_scans r.Visor.Server.evictions
-    r.Visor.Server.machine_peak_rss r.Visor.Server.max_inflight
+let summary ((_, s) : Visor.Server.response list * Visor.Server.summary) =
+  Printf.sprintf "%d/%d w%d c%d h%d s%d e%d rss%d infl%d" s.Visor.Server.sm_completed
+    s.Visor.Server.sm_failed s.Visor.Server.sm_warm_starts s.Visor.Server.sm_cold_starts
+    s.Visor.Server.sm_adm_hits s.Visor.Server.sm_adm_scans s.Visor.Server.sm_evictions
+    s.Visor.Server.sm_machine_peak_rss s.Visor.Server.sm_max_inflight
 
 let test_serve_identical_across_domains () =
   (* The full observable surface — responses, counters, span tree,
@@ -262,33 +248,23 @@ let test_seeded_stress_across_domains () =
   done;
   Alcotest.(check int) "no WFD leak" live0 (Wfd.live_count ())
 
-let observe_serve ~requests ~domains ?(batch = 1) ?config () =
+let observe_serve ~requests ~domains ?config () =
   with_domains domains (fun () ->
-      Par.set_batch batch;
-      Fun.protect
-        ~finally:(fun () -> Par.set_batch 1)
-        (fun () ->
-          reset_observability ();
-          Span.set_enabled Span.global true;
-          let r = serve_once ?config ~requests () in
-          let tr = Obs.trace_json_string () in
-          let me = Obs.metrics_json_string () in
-          Span.set_enabled Span.global false;
-          reset_observability ();
-          fingerprint r ^ "|" ^ summary r ^ "||" ^ tr ^ "||" ^ me))
+      reset_observability ();
+      Span.set_enabled Span.global true;
+      let r = serve_once ?config ~requests () in
+      let tr = Obs.trace_json_string () in
+      let me = Obs.metrics_json_string () in
+      Span.set_enabled Span.global false;
+      reset_observability ();
+      fingerprint r ^ "|" ^ summary r ^ "||" ^ tr ^ "||" ^ me)
 
-let test_serve_identical_across_batch () =
-  (* The full observable surface across batch sizes and domain counts:
-     batching is a host scheduling knob, never a virtual one. *)
+let test_serve_identical_1_vs_4_domains () =
+  (* The full observable surface on one domain and on four. *)
   let requests = requests_for ~seed:13 ~count:60 in
-  let base = observe_serve ~requests ~domains:1 ~batch:1 () in
-  List.iter
-    (fun (domains, batch) ->
-      Alcotest.(check string)
-        (Printf.sprintf "batch %d at %d domains" batch domains)
-        base
-        (observe_serve ~requests ~domains ~batch ()))
-    [ (1, 8); (1, 64); (4, 1); (4, 8); (4, 64) ]
+  Alcotest.(check string) "one vs four domains"
+    (observe_serve ~requests ~domains:1 ())
+    (observe_serve ~requests ~domains:4 ())
 
 let test_pools_scrubbed_after_chaos () =
   (* Reset-discipline under crashes: a chaos leg (crashing functions,
@@ -389,22 +365,20 @@ let suite =
     Alcotest.test_case "Par.run keeps submission order" `Quick test_run_submission_order;
     Alcotest.test_case "Par.run re-raises lowest-index error" `Quick
       test_run_first_error_wins;
-    Alcotest.test_case "Par.run batched keeps submission order" `Quick
-      test_run_batched_submission_order;
-    Alcotest.test_case "Par.run batched re-raises lowest-index error" `Quick
-      test_run_batched_first_error_wins;
-    Alcotest.test_case "Sched pool snapshot round-trips" `Quick
-      test_pool_snapshot_roundtrip;
-    Alcotest.test_case "Sched pool copies recycle through release" `Quick
-      test_pool_release_recycles;
+    Alcotest.test_case "Pool: give past the cap" `Quick test_give_past_cap;
+    Alcotest.test_case "Pool: reuse is LIFO" `Quick test_reuse_is_lifo;
+    Alcotest.test_case "Pool: per-domain pools are isolated" `Quick
+      test_per_domain_isolated;
+    Alcotest.test_case "Pool: shared pool takes cross-domain releases" `Quick
+      test_shared_cross_domain_release;
     Alcotest.test_case "compile cache: 1 compile, 15 hits" `Quick
       test_compile_cache_stress;
     Alcotest.test_case "serve identical at 1/2/8 domains" `Quick
       test_serve_identical_across_domains;
     Alcotest.test_case "chaos identical across domains" `Quick
       test_chaos_identical_across_domains;
-    Alcotest.test_case "serve identical across batch sizes" `Quick
-      test_serve_identical_across_batch;
+    Alcotest.test_case "serve identical on one vs four domains" `Quick
+      test_serve_identical_1_vs_4_domains;
     Alcotest.test_case "pools scrubbed after chaos" `Quick
       test_pools_scrubbed_after_chaos;
     Alcotest.test_case "hotspot words match GC accounting" `Quick

@@ -19,7 +19,7 @@ let serve_sampled ?sample_every ?sample_seed ~requests () =
     (fun (endpoint, workflow, bindings) ->
       Visor.Server.register server ~endpoint ~workflow ~bindings ())
     Test_par.endpoints_spec;
-  let r = Visor.Server.serve server requests in
+  let r = Serve_list.serve server requests in
   Visor.Server.shutdown server;
   r
 
@@ -68,8 +68,8 @@ let test_sampled_virtuals_exact () =
     (fingerprint r1 ^ summary r1)
     (fingerprint rk ^ summary rk);
   Alcotest.(check int64) "p99 identical"
-    (Units.to_ns r1.Visor.Server.p99_latency)
-    (Units.to_ns rk.Visor.Server.p99_latency)
+    (Units.to_ns (snd r1).Visor.Server.sm_p99_latency)
+    (Units.to_ns (snd rk).Visor.Server.sm_p99_latency)
 
 let test_sampled_span_population () =
   (* The sampled population is an exact deterministic stride over

@@ -29,31 +29,32 @@ let serve_scale () =
     (fun (endpoint, workflow, bindings) ->
       Visor.Server.register server ~endpoint ~workflow ~bindings ())
     Test_par.endpoints_spec;
-  let r = Visor.Server.serve_stream server (stream ()) in
+  let r = Serve_list.collect server (stream ()) in
   Visor.Server.shutdown server;
   r
 
 let test_scale_50k () =
   let live0 = Wfd.live_count () in
   let r1 = Test_par.with_domains 1 (fun () -> serve_scale ()) in
-  Alcotest.(check int) "all completed" count r1.Visor.Server.completed;
-  Alcotest.(check int) "zero failures" 0 r1.Visor.Server.failed;
+  let s1 = snd r1 in
+  Alcotest.(check int) "all completed" count s1.Visor.Server.sm_completed;
+  Alcotest.(check int) "zero failures" 0 s1.Visor.Server.sm_failed;
   (* Warm pool does its job: one cold boot per endpoint, everything
      else clones a template. *)
-  Alcotest.(check int) "cold boots = endpoints" 3 r1.Visor.Server.cold_starts;
-  Alcotest.(check int) "warm rest" (count - 3) r1.Visor.Server.warm_starts;
+  Alcotest.(check int) "cold boots = endpoints" 3 s1.Visor.Server.sm_cold_starts;
+  Alcotest.(check int) "warm rest" (count - 3) s1.Visor.Server.sm_warm_starts;
   (* Bounded virtual memory: peak machine RSS reflects the in-flight
      window, not the full request count.  16 GiB is ~2x the observed
      peak; a linear leak over 50k requests would blow far past it. *)
   Alcotest.(check bool)
-    (Printf.sprintf "peak rss bounded (%d)" r1.Visor.Server.machine_peak_rss)
+    (Printf.sprintf "peak rss bounded (%d)" s1.Visor.Server.sm_machine_peak_rss)
     true
-    (r1.Visor.Server.machine_peak_rss < 16 * 1024 * 1024 * 1024);
+    (s1.Visor.Server.sm_machine_peak_rss < 16 * 1024 * 1024 * 1024);
   (* In-flight stays at the queueing equilibrium, far below n. *)
   Alcotest.(check bool)
-    (Printf.sprintf "inflight bounded (%d)" r1.Visor.Server.max_inflight)
+    (Printf.sprintf "inflight bounded (%d)" s1.Visor.Server.sm_max_inflight)
     true
-    (r1.Visor.Server.max_inflight < 1_000);
+    (s1.Visor.Server.sm_max_inflight < 1_000);
   Alcotest.(check int) "no WFD leak" live0 (Wfd.live_count ());
   (* The same stream on a 4-domain pool replays byte-identically. *)
   let r4 = Test_par.with_domains 4 (fun () -> serve_scale ()) in
@@ -64,9 +65,10 @@ let test_scale_50k () =
     (Test_par.summary r1) (Test_par.summary r4);
   Alcotest.(check int) "no WFD leak after parallel run" live0 (Wfd.live_count ())
 
-let test_stream_matches_materialised_serve () =
-  (* serve_stream over the generator == serve over the materialised
-     list: same virtual responses, byte for byte. *)
+let test_fold_identical_at_every_window () =
+  (* The fold over the lazy generator at any window == the fold over
+     the materialised list at the default window: same virtual
+     responses, byte for byte. *)
   let requests = Test_par.requests_for ~seed ~count:300 in
   let serve_list () =
     let server = Visor.Server.create () in
@@ -74,11 +76,11 @@ let test_stream_matches_materialised_serve () =
       (fun (endpoint, workflow, bindings) ->
         Visor.Server.register server ~endpoint ~workflow ~bindings ())
       Test_par.endpoints_spec;
-    let r = Visor.Server.serve server requests in
+    let r = Serve_list.serve server requests in
     Visor.Server.shutdown server;
     r
   in
-  let serve_streamed window =
+  let serve_windowed window =
     let eps =
       Array.of_list (List.map (fun (e, _, _) -> e) Test_par.endpoints_spec)
     in
@@ -91,7 +93,7 @@ let test_stream_matches_materialised_serve () =
         Visor.Server.register server ~endpoint ~workflow ~bindings ())
       Test_par.endpoints_spec;
     let r =
-      Visor.Server.serve_stream server ~window (fun () ->
+      Serve_list.collect server ~window (fun () ->
           match next () with
           | None -> None
           | Some (endpoint, arrival) -> Some { Visor.Server.endpoint; arrival })
@@ -102,7 +104,7 @@ let test_stream_matches_materialised_serve () =
   let want = serve_list () in
   List.iter
     (fun window ->
-      let got = serve_streamed window in
+      let got = serve_windowed window in
       Alcotest.(check string)
         (Printf.sprintf "window %d == materialised" window)
         (Test_par.fingerprint want ^ Test_par.summary want)
@@ -113,6 +115,6 @@ let suite =
   [
     Alcotest.test_case "50k warm serve: complete, bounded, identical across domains"
       `Slow test_scale_50k;
-    Alcotest.test_case "serve_stream == serve at every window" `Quick
-      test_stream_matches_materialised_serve;
+    Alcotest.test_case "serve_fold identical at every window" `Quick
+      test_fold_identical_at_every_window;
   ]

@@ -24,7 +24,7 @@ let serve_simple ?config ?pool_mem_cap ?warm ~requests () =
   let server = Visor.Server.create ?config ?pool_mem_cap ?warm () in
   Visor.Server.register server ~endpoint:"e" ~workflow:(compute_wf 10)
     ~bindings:(compute_bindings 10) ();
-  let r = Visor.Server.serve server requests in
+  let r = Serve_list.serve server requests in
   Visor.Server.shutdown server;
   r
 
@@ -37,16 +37,16 @@ let test_warm_start_beats_cold () =
   (match Visor.Server.prewarm warm_server ~endpoint:"e" with
   | Some t -> Alcotest.(check bool) "template build takes time" true (Units.( > ) t Units.zero)
   | None -> Alcotest.fail "prewarm must install a template");
-  let warm = Visor.Server.serve warm_server [ req 0 ] in
+  let warm = Serve_list.serve warm_server [ req 0 ] in
   Visor.Server.shutdown warm_server;
   let cold = serve_simple ~warm:false ~requests:[ req 0 ] () in
-  let latency (r : Visor.Server.serve_report) =
-    match r.Visor.Server.responses with
-    | [ resp ] -> resp.Visor.Server.r_latency
+  let latency (responses, _) =
+    match responses with
+    | [ (resp : Visor.Server.response) ] -> resp.Visor.Server.r_latency
     | _ -> Alcotest.fail "expected one response"
   in
-  Alcotest.(check int) "warm start" 1 warm.Visor.Server.warm_starts;
-  Alcotest.(check int) "cold start" 1 cold.Visor.Server.cold_starts;
+  Alcotest.(check int) "warm start" 1 (snd warm).Visor.Server.sm_warm_starts;
+  Alcotest.(check int) "cold start" 1 (snd cold).Visor.Server.sm_cold_starts;
   Alcotest.(check bool)
     (Printf.sprintf "warm (%s) strictly below cold (%s)"
        (Units.to_string (latency warm))
@@ -57,19 +57,19 @@ let test_warm_start_beats_cold () =
 let test_first_request_seeds_pool () =
   (* Without an explicit prewarm, the first (cold) request installs the
      template so the rest of the burst starts warm. *)
-  let r = serve_simple ~requests:(List.init 5 (fun i -> req (i * 40))) () in
-  Alcotest.(check int) "one cold" 1 r.Visor.Server.cold_starts;
-  Alcotest.(check int) "rest warm" 4 r.Visor.Server.warm_starts
+  let _, s = serve_simple ~requests:(List.init 5 (fun i -> req (i * 40))) () in
+  Alcotest.(check int) "one cold" 1 s.Visor.Server.sm_cold_starts;
+  Alcotest.(check int) "rest warm" 4 s.Visor.Server.sm_warm_starts
 
 let test_sustains_32_inflight () =
   (* An open-loop burst of 40 simultaneous arrivals: all are admitted
      and executing concurrently before the first completes. *)
-  let r = serve_simple ~requests:(List.init 40 (fun _ -> req 0)) () in
-  Alcotest.(check int) "all completed" 40 r.Visor.Server.completed;
+  let _, s = serve_simple ~requests:(List.init 40 (fun _ -> req 0)) () in
+  Alcotest.(check int) "all completed" 40 s.Visor.Server.sm_completed;
   Alcotest.(check bool)
-    (Printf.sprintf "held >= 32 in flight (got %d)" r.Visor.Server.max_inflight)
+    (Printf.sprintf "held >= 32 in flight (got %d)" s.Visor.Server.sm_max_inflight)
     true
-    (r.Visor.Server.max_inflight >= 32)
+    (s.Visor.Server.sm_max_inflight >= 32)
 
 let test_stages_share_cores () =
   (* Two single-function 10ms workflows on a 1-core machine serialise;
@@ -77,8 +77,8 @@ let test_stages_share_cores () =
      in-flight workflows contend. *)
   let run cores =
     let config = { Visor.default_config with Visor.cores } in
-    let r = serve_simple ~config ~requests:[ req 0; req 0 ] () in
-    r.Visor.Server.duration
+    let _, s = serve_simple ~config ~requests:[ req 0; req 0 ] () in
+    s.Visor.Server.sm_duration
   in
   let serial = run 1 and parallel = run 2 in
   Alcotest.(check bool)
@@ -111,8 +111,8 @@ let test_lru_eviction_under_cap () =
   Alcotest.(check bool) "pool stays under cap" true
     (Visor.Server.pool_rss server <= one_template * 3 / 2);
   (* Serving endpoint a again boots cold (its template was evicted). *)
-  let r = Visor.Server.serve server [ req ~endpoint:"a" 0 ] in
-  Alcotest.(check int) "evicted endpoint boots cold" 1 r.Visor.Server.cold_starts;
+  let _, s = Serve_list.serve server [ req ~endpoint:"a" 0 ] in
+  Alcotest.(check int) "evicted endpoint boots cold" 1 s.Visor.Server.sm_cold_starts;
   Visor.Server.shutdown server
 
 let test_admission_cache_across_requests () =
@@ -126,11 +126,11 @@ let test_admission_cache_across_requests () =
   in
   let server = Visor.Server.create () in
   Visor.Server.register server ~endpoint:"e" ~workflow:(compute_wf 1) ~bindings ();
-  let r = Visor.Server.serve server (List.init 6 (fun i -> req (i * 5))) in
+  let _, s = Serve_list.serve server (List.init 6 (fun i -> req (i * 5))) in
   Visor.Server.shutdown server;
-  Alcotest.(check int) "all served" 6 r.Visor.Server.completed;
-  Alcotest.(check int) "image scanned once" 1 r.Visor.Server.adm_scans;
-  Alcotest.(check int) "five cache hits" 5 r.Visor.Server.adm_hits
+  Alcotest.(check int) "all served" 6 s.Visor.Server.sm_completed;
+  Alcotest.(check int) "image scanned once" 1 s.Visor.Server.sm_adm_scans;
+  Alcotest.(check int) "five cache hits" 5 s.Visor.Server.sm_adm_hits
 
 let test_no_wfd_leak_across_serve () =
   (* Mixed success/failure traffic, then shutdown: every WFD (requests,
@@ -144,16 +144,16 @@ let test_no_wfd_leak_across_serve () =
   Visor.Server.register server ~endpoint:"ok" ~workflow:(compute_wf 5)
     ~bindings:(compute_bindings 5) ();
   Visor.Server.register server ~endpoint:"bad" ~workflow:(compute_wf 5) ~bindings:failing ();
-  let r =
-    Visor.Server.serve server
+  let responses, s =
+    Serve_list.serve server
       [ req ~endpoint:"ok" 0; req ~endpoint:"bad" 1; req ~endpoint:"ok" 2;
         req ~endpoint:"bad" 3 ]
   in
-  Alcotest.(check int) "successes" 2 r.Visor.Server.completed;
-  Alcotest.(check int) "failures" 2 r.Visor.Server.failed;
+  Alcotest.(check int) "successes" 2 s.Visor.Server.sm_completed;
+  Alcotest.(check int) "failures" 2 s.Visor.Server.sm_failed;
   let failed_resp =
     List.filter (fun (resp : Visor.Server.response) -> not resp.Visor.Server.r_ok)
-      r.Visor.Server.responses
+      responses
   in
   List.iter
     (fun (resp : Visor.Server.response) ->
@@ -172,14 +172,14 @@ let test_same_seed_bit_identical () =
         t := !t +. Rng.exponential rng ~mean:0.002;
         { Visor.Server.endpoint = "e"; arrival = Units.ns_f (!t *. 1e9) })
   in
-  let summarise (r : Visor.Server.serve_report) =
-    ( r.Visor.Server.completed,
-      r.Visor.Server.max_inflight,
+  let summarise (responses, (s : Visor.Server.summary)) =
+    ( s.Visor.Server.sm_completed,
+      s.Visor.Server.sm_max_inflight,
       List.map
         (fun (resp : Visor.Server.response) ->
           (resp.Visor.Server.r_endpoint, Units.to_ns resp.Visor.Server.r_latency,
            resp.Visor.Server.r_warm))
-        r.Visor.Server.responses )
+        responses )
   in
   let a = summarise (serve_simple ~requests:(trace 7) ()) in
   let b = summarise (serve_simple ~requests:(trace 7) ()) in
@@ -195,9 +195,15 @@ let test_unknown_endpoint_and_duplicates () =
            ~bindings:(compute_bindings 1) () with
   | () -> Alcotest.fail "duplicate endpoint must be rejected"
   | exception Invalid_argument _ -> ());
-  (match Visor.Server.serve server [ req ~endpoint:"nope" 0 ] with
+  let unknown = "Visor.Server: unknown endpoint \"nope\"" in
+  (match Serve_list.serve server [ req ~endpoint:"nope" 0 ] with
   | _ -> Alcotest.fail "unknown endpoint must raise"
-  | exception Not_found -> ());
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "serve names the endpoint" unknown msg);
+  (match Visor.Server.prewarm server ~endpoint:"nope" with
+  | _ -> Alcotest.fail "prewarming an unknown endpoint must raise"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "prewarm names the endpoint" unknown msg);
   Alcotest.(check (list string)) "endpoints listed" [ "e" ]
     (Visor.Server.endpoints server);
   Visor.Server.shutdown server
@@ -214,9 +220,9 @@ let test_warm_python_resumes_runtime () =
     let server = Visor.Server.create ~warm () in
     Visor.Server.register server ~endpoint:"py" ~workflow:wf ~bindings ();
     if warm then ignore (Visor.Server.prewarm server ~endpoint:"py");
-    let r = Visor.Server.serve server [ req ~endpoint:"py" 0 ] in
+    let responses, _ = Serve_list.serve server [ req ~endpoint:"py" 0 ] in
     Visor.Server.shutdown server;
-    match r.Visor.Server.responses with
+    match responses with
     | [ resp ] -> resp.Visor.Server.r_latency
     | _ -> Alcotest.fail "one response expected"
   in
@@ -228,18 +234,56 @@ let test_warm_python_resumes_runtime () =
     (* The cold path pays the full CPython boot; warm resumes it. *)
     (Units.( < ) (Units.add warm Wasm.Runtime.cpython_init) (Units.add cold (Units.ms 50)))
 
-let test_serve_report_percentiles () =
-  let r = serve_simple ~requests:(List.init 10 (fun i -> req (i * 30))) () in
+let test_serve_summary_percentiles () =
+  let responses, s = serve_simple ~requests:(List.init 10 (fun i -> req (i * 30))) () in
   Alcotest.(check bool) "p50 <= p99" true
-    (Units.( <= ) r.Visor.Server.p50_latency r.Visor.Server.p99_latency);
-  Alcotest.(check bool) "throughput positive" true (r.Visor.Server.throughput_rps > 0.0);
-  Alcotest.check check_time "duration spans trace" r.Visor.Server.duration
+    (Units.( <= ) s.Visor.Server.sm_p50_latency s.Visor.Server.sm_p99_latency);
+  Alcotest.(check bool) "throughput positive" true (s.Visor.Server.sm_throughput_rps > 0.0);
+  Alcotest.check check_time "duration spans trace" s.Visor.Server.sm_duration
     (Units.sub
        (List.fold_left
           (fun acc (resp : Visor.Server.response) ->
             Units.max acc resp.Visor.Server.r_finish)
-          Units.zero r.Visor.Server.responses)
+          Units.zero responses)
        Units.zero)
+
+let test_admission_rejection_fails_request () =
+  (* A request whose image admission rejects fails at its arrival
+     instant without executing: zero latency, no attempt, no boot, and
+     no request-latency observation. *)
+  let bad =
+    Isa.Image.create ~name:"bad" ~toolchain:Isa.Image.Rust_as_std [ Isa.Inst.Sysenter ]
+  in
+  let server = Visor.Server.create () in
+  Visor.Server.register server ~endpoint:"ok" ~workflow:(compute_wf 2)
+    ~bindings:(compute_bindings 2) ();
+  Visor.Server.register server ~endpoint:"bad" ~workflow:(compute_wf 2)
+    ~bindings:
+      [ ("f", Visor.bind ~image:bad (fun (_ : Asstd.ctx) ~instance:_ ~total:_ -> ())) ]
+    ();
+  Metrics.reset ();
+  let responses, s =
+    Serve_list.serve server
+      [ req ~endpoint:"ok" 0; req ~endpoint:"bad" 1; req ~endpoint:"ok" 2;
+        req ~endpoint:"bad" 3 ]
+  in
+  Visor.Server.shutdown server;
+  Alcotest.(check int) "completed" 2 s.Visor.Server.sm_completed;
+  Alcotest.(check int) "failed" 2 s.Visor.Server.sm_failed;
+  Alcotest.(check int) "only admitted requests boot" 2
+    (s.Visor.Server.sm_warm_starts + s.Visor.Server.sm_cold_starts);
+  List.iter
+    (fun (r : Visor.Server.response) ->
+      if r.Visor.Server.r_endpoint = "bad" then begin
+        Alcotest.(check bool) "rejected is not ok" false r.Visor.Server.r_ok;
+        Alcotest.check check_time "fails at arrival" r.Visor.Server.r_arrival
+          r.Visor.Server.r_finish;
+        Alcotest.(check int) "no attempt" 0 r.Visor.Server.r_attempts
+      end)
+    responses;
+  Alcotest.(check int) "latency histogram counts executed requests" 2
+    (Metrics.histogram_count (Metrics.histogram "server.request_latency_ns"));
+  Metrics.reset ()
 
 let suite =
   [
@@ -256,5 +300,7 @@ let suite =
       test_unknown_endpoint_and_duplicates;
     Alcotest.test_case "warm python resumes runtime" `Quick
       test_warm_python_resumes_runtime;
-    Alcotest.test_case "serve report percentiles" `Quick test_serve_report_percentiles;
+    Alcotest.test_case "serve report percentiles" `Quick test_serve_summary_percentiles;
+    Alcotest.test_case "admission rejection fails the request" `Quick
+      test_admission_rejection_fails_request;
   ]

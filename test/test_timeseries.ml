@@ -231,7 +231,7 @@ let serve_with_telemetry requests =
         Slo.spec ~name:"lat100" ~latency:(Units.ms 100) ~objective:0.999 ();
       ]
     ();
-  let r = Visor.Server.serve server requests in
+  let r = Serve_list.serve server requests in
   let csv =
     match Visor.Server.telemetry server with
     | Some ts -> Timeseries.to_csv ts

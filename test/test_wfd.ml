@@ -507,7 +507,7 @@ let serve_recycling ?config ~recycle_cap ~requests () =
     (fun (endpoint, workflow, bindings) ->
       Visor.Server.register server ~endpoint ~workflow ~bindings ())
     Test_par.endpoints_spec;
-  let r = Visor.Server.serve server requests in
+  let r = Serve_list.serve server requests in
   Visor.Server.shutdown server;
   r
 
@@ -556,9 +556,9 @@ let test_recycle_no_leak_under_faults () =
   let config =
     { Visor.default_config with Visor.fault = Some plan; retry = Visor.Retry_workflow 2 }
   in
-  let r = serve_recycling ~config ~recycle_cap:64 ~requests () in
+  let _, s = serve_recycling ~config ~recycle_cap:64 ~requests () in
   Alcotest.(check int) "every request resolved" 40
-    (r.Visor.Server.completed + r.Visor.Server.failed);
+    (s.Visor.Server.sm_completed + s.Visor.Server.sm_failed);
   Alcotest.(check bool) "faults actually fired" true
     (Fault.fired plan ~site:Fault.site_fn_crash > 0);
   Alcotest.(check int) "no shell leak after faulty serve" live0 (Wfd.live_count ())
