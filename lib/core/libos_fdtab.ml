@@ -50,6 +50,7 @@ let read (wfd : Wfd.t) ~clock ~fd ~len =
   let st = state wfd in
   match find st fd with
   | Error _ as e -> e
+  | Ok _ when len < 0 -> Error Errno.Einval
   | Ok Stdout -> Error Errno.Einval
   | Ok (Socket { conn; at_client }) ->
       Clock.advance clock (Hostos.Syscall.cost Hostos.Syscall.Recvfrom);

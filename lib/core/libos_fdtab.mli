@@ -21,7 +21,7 @@ val openf :
 
 val read : Wfd.t -> clock:Sim.Clock.t -> fd:int -> len:int -> (bytes, Errno.t) result
 (** Sequential read from the descriptor position (may be shorter at
-    EOF). *)
+    EOF).  [Einval], charging nothing, when [len] is negative. *)
 
 val write : Wfd.t -> clock:Sim.Clock.t -> fd:int -> bytes -> (int, Errno.t) result
 (** Append-at-position write (whole-file rewrite on the FAT layer). *)

@@ -44,9 +44,11 @@ let set client key value =
   Tcp.send client.conn ~from_client:true value;
   Tcp.send client.conn ~from_client:true (Bytes.of_string "\r\n");
   ignore (Tcp.recv client.conn ~at_client:false (String.length header));
-  ignore (Tcp.recv client.conn ~at_client:false (Bytes.length value + 2));
+  (* The received value is a fresh buffer nobody else holds: store it. *)
+  let received = Tcp.recv client.conn ~at_client:false (Bytes.length value) in
+  ignore (Tcp.recv client.conn ~at_client:false 2);
   Clock.advance client.server.server_clock command_overhead;
-  Hashtbl.replace client.server.store key (Bytes.copy value);
+  Hashtbl.replace client.server.store key received;
   (* +OK reply *)
   Tcp.send client.conn ~from_client:false (Bytes.of_string "+OK\r\n");
   ignore (Tcp.recv client.conn ~at_client:true 5)

@@ -68,6 +68,14 @@ let pp_state fmt s =
   in
   Format.pp_print_string fmt name
 
+(* Delivered bytes not yet received: the bursts [stream] cut, oldest
+   first, with [head] bytes of the oldest already taken.  Each chunk is
+   the connection's own copy, so receiving never copies more than it
+   returns. *)
+type inbox = { chunks : bytes Queue.t; mutable head : int; mutable queued : int }
+
+let inbox () = { chunks = Queue.create (); head = 0; queued = 0 }
+
 type t = {
   link : Link.t;
   client_profile : profile;
@@ -76,8 +84,8 @@ type t = {
   server_clock : Clock.t;
   mutable client_state : state;
   mutable server_state : state;
-  c2s : Buffer.t;  (** Bytes delivered to the server. *)
-  s2c : Buffer.t;  (** Bytes delivered to the client. *)
+  c2s : inbox;  (** Bytes delivered to the server. *)
+  s2c : inbox;  (** Bytes delivered to the client. *)
   mutable segments : int;
   fault : Fault.t option;
   mutable retransmits : int;
@@ -93,8 +101,8 @@ let connect ?fault ~client ~server ~link ~client_profile ~server_profile () =
       server_clock = server;
       client_state = Closed;
       server_state = Listen;
-      c2s = Buffer.create 256;
-      s2c = Buffer.create 256;
+      c2s = inbox ();
+      s2c = inbox ();
       segments = 0;
       fault;
       retransmits = 0;
@@ -209,7 +217,8 @@ let stream t ~tx ~rx ~src_clock ~dst_clock ~sink data =
        next burst (pipelining hides most of it for big windows). *)
     if !sent + burst < len then
       Clock.advance_to src_clock (Units.add finish t.link.Link.latency);
-    Buffer.add_subbytes sink data !sent burst;
+    Queue.push (Bytes.sub data !sent burst) sink.chunks;
+    sink.queued <- sink.queued + burst;
     sent := !sent + burst
   done;
   if sp <> Span.none then begin
@@ -227,19 +236,29 @@ let send t ~from_client data =
     stream t ~tx:t.server_profile ~rx:t.client_profile ~src_clock:t.server_clock
       ~dst_clock:t.client_clock ~sink:t.s2c data
 
-let take buf n =
-  let have = Buffer.length buf in
-  let take = Stdlib.min n have in
-  let out = Bytes.of_string (Buffer.sub buf 0 take) in
-  let rest = Buffer.sub buf take (have - take) in
-  Buffer.clear buf;
-  Buffer.add_string buf rest;
+let take q n =
+  let len = Stdlib.min n q.queued in
+  let out = Bytes.create len in
+  let filled = ref 0 in
+  while !filled < len do
+    let chunk = Queue.peek q.chunks in
+    let k = Stdlib.min (len - !filled) (Bytes.length chunk - q.head) in
+    Bytes.blit chunk q.head out !filled k;
+    filled := !filled + k;
+    if q.head + k = Bytes.length chunk then begin
+      ignore (Queue.pop q.chunks);
+      q.head <- 0
+    end
+    else q.head <- q.head + k
+  done;
+  q.queued <- q.queued - len;
   out
 
-let recv t ~at_client n = if at_client then take t.s2c n else take t.c2s n
+let recv t ~at_client n =
+  if n < 0 then invalid_arg (Printf.sprintf "Netsim.Tcp.recv: negative length %d" n);
+  take (if at_client then t.s2c else t.c2s) n
 
-let available t ~at_client =
-  Buffer.length (if at_client then t.s2c else t.c2s)
+let available t ~at_client = (if at_client then t.s2c else t.c2s).queued
 
 let close t =
   (* FIN from client, ACK+FIN from server, final ACK. *)

@@ -69,7 +69,9 @@ val send : t -> from_client:bool -> bytes -> unit
     through the windowed transfer. *)
 
 val recv : t -> at_client:bool -> int -> bytes
-(** Take up to [n] delivered bytes from the receive buffer. *)
+(** Take up to [n] delivered bytes from the receive buffer, as a fresh
+    buffer of [min n (available t ~at_client)] bytes.  Costs no virtual
+    time.  Raises [Invalid_argument] if [n] is negative. *)
 
 val available : t -> at_client:bool -> int
 

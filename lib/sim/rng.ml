@@ -51,9 +51,20 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
+(* The same draws as [n] calls of [int t 256], run as one local loop so
+   the state and each mixed word stay unboxed; [mix] is spelled out
+   because a call would box its argument and result.  [int t 256] keeps
+   bits 2..9 of the mixed word. *)
 let bytes t n =
   let b = Bytes.create n in
+  let s = ref t.state in
   for i = 0 to n - 1 do
-    Bytes.unsafe_set b i (Char.chr (int t 256))
+    s := Int64.add !s golden_gamma;
+    let z = !s in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+    Bytes.unsafe_set b i (Char.unsafe_chr ((Int64.to_int z lsr 2) land 255))
   done;
+  t.state <- !s;
   b

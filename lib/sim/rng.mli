@@ -54,4 +54,5 @@ val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
 val bytes : t -> int -> bytes
-(** [bytes t n] is [n] random bytes. *)
+(** [bytes t n] is [n] random bytes: the bytes of, and the state after,
+    [n] calls of [int t 256]. *)

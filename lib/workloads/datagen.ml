@@ -23,15 +23,26 @@ let words_text ~seed size =
     state := x;
     x land max_int
   in
-  let buf = Buffer.create (size + 16) in
-  while Buffer.length buf < size do
+  (* Written straight into the result: the text is the first [size]
+     bytes of the word stream, the last word cut short if need be. *)
+  let text = Bytes.create size in
+  let pos = ref 0 in
+  while !pos < size do
     (* Zipf-ish: squaring the draw skews towards low indices. *)
     let r = next () mod (vocabulary_size * vocabulary_size) in
     let idx = r * r / (vocabulary_size * vocabulary_size * vocabulary_size) in
-    Buffer.add_string buf vocabulary.(idx mod vocabulary_size);
-    Buffer.add_char buf (if next () mod 12 = 0 then '\n' else ' ')
+    let w = vocabulary.(idx mod vocabulary_size) in
+    let len = String.length w in
+    let k = if len < size - !pos then len else size - !pos in
+    Bytes.blit_string w 0 text !pos k;
+    pos := !pos + k;
+    let sep = if next () mod 12 = 0 then '\n' else ' ' in
+    if !pos < size then begin
+      Bytes.unsafe_set text !pos sep;
+      incr pos
+    end
   done;
-  Bytes.sub (Buffer.to_bytes buf) 0 size
+  text
 
 let int32_records ~seed ~count =
   let rng = Sim.Rng.create seed in

@@ -9,25 +9,89 @@ let split_ns_per_byte = 0.15
 
 let is_sep c = c = ' ' || c = '\n' || c = '\t' || c = '\r'
 
+(* [w] equals the [len] bytes of [data] at [start]. *)
+let same w data start len =
+  String.length w = len
+  &&
+  let j = ref 0 in
+  while !j < len && String.unsafe_get w !j = Bytes.unsafe_get data (start + !j) do
+    incr j
+  done;
+  !j = len
+
+(* Tokens are hashed in place while scanning, so a token allocates
+   nothing unless it is a word not seen before.  The result is filled
+   with the distinct words in order of first appearance: counting token
+   by token with [Hashtbl.replace] adds keys in exactly that order (a
+   replace of a present key only updates its count), so the table's
+   buckets, resizes and [Hashtbl.iter] order come out the same. *)
 let count_words data =
-  let counts = Hashtbl.create 1024 in
   let n = Bytes.length data in
-  let flush start stop =
-    if stop > start then begin
-      let w = Bytes.sub_string data start (stop - start) in
-      Hashtbl.replace counts w
-        (1 + match Hashtbl.find_opt counts w with Some c -> c | None -> 0)
+  (* Distinct word [k] is [words.(k)], seen [counts.(k)] times; [index]
+     maps a token hash to [k] by linear probing and is kept at most
+     half full. *)
+  let words = ref (Array.make 256 "") in
+  let counts = ref (Array.make 256 0) in
+  let hashes = ref (Array.make 256 0) in
+  let index = ref (Array.make 512 (-1)) in
+  let distinct = ref 0 in
+  let grow () =
+    let widen a fill =
+      let a' = Array.make (2 * Array.length a) fill in
+      Array.blit a 0 a' 0 !distinct;
+      a'
+    in
+    words := widen !words "";
+    counts := widen !counts 0;
+    hashes := widen !hashes 0;
+    let index' = Array.make (2 * Array.length !words) (-1) in
+    let mask = Array.length index' - 1 in
+    for k = 0 to !distinct - 1 do
+      let rec free i = if index'.(i) < 0 then i else free ((i + 1) land mask) in
+      index'.(free (!hashes.(k) land mask)) <- k
+    done;
+    index := index'
+  in
+  let add start stop h =
+    let len = stop - start in
+    let index_ = !index in
+    let mask = Array.length index_ - 1 in
+    let i = ref (h land mask) in
+    let k = ref (Array.unsafe_get index_ !i) in
+    while !k >= 0 && not (!hashes.(!k) = h && same !words.(!k) data start len) do
+      i := (!i + 1) land mask;
+      k := Array.unsafe_get index_ !i
+    done;
+    if !k >= 0 then !counts.(!k) <- !counts.(!k) + 1
+    else begin
+      let k = !distinct in
+      index_.(!i) <- k;
+      !words.(k) <- Bytes.sub_string data start len;
+      !counts.(k) <- 1;
+      !hashes.(k) <- h;
+      distinct := k + 1;
+      if !distinct = Array.length !words then grow ()
     end
   in
-  let start = ref 0 in
+  (* FNV-1a over the token's bytes, high bits folded into the low ones
+     that pick the slot. *)
+  let basis = 0x811c9dc5 in
+  let start = ref 0 and h = ref basis in
   for i = 0 to n - 1 do
-    if is_sep (Bytes.get data i) then begin
-      flush !start i;
-      start := i + 1
+    let c = Bytes.unsafe_get data i in
+    if is_sep c then begin
+      if i > !start then add !start i (!h lxor (!h lsr 29));
+      start := i + 1;
+      h := basis
     end
+    else h := (!h lxor Char.code c) * 0x100000001b3
   done;
-  flush !start n;
-  counts
+  if n > !start then add !start n (!h lxor (!h lsr 29));
+  let table = Hashtbl.create 1024 in
+  for k = 0 to !distinct - 1 do
+    Hashtbl.replace table !words.(k) !counts.(k)
+  done;
+  table
 
 let encode_counts pairs =
   let buf = Buffer.create 4096 in

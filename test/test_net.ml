@@ -100,6 +100,103 @@ let tcp_time_monotonic_property =
       in
       measure a && measure b)
 
+let test_tcp_recv_negative () =
+  let conn, _, _ = connect () in
+  Tcp.send conn ~from_client:true (Bytes.of_string "abc");
+  (match Tcp.recv conn ~at_client:false (-1) with
+  | _ -> Alcotest.fail "negative recv must raise"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "names Netsim.Tcp.recv" true
+        (String.starts_with ~prefix:"Netsim.Tcp.recv" msg));
+  Alcotest.(check int) "nothing consumed" 3 (Tcp.available conn ~at_client:false)
+
+(* Model test: a flat byte string per direction is the reference.  Sends
+   of 0 bytes, of more than a window, and receives of more than is
+   available interleave in both directions, some under a drop /
+   corrupt / delay fault plan.  Every receive must return exactly the
+   model's next bytes; what is left over is drained at the end. *)
+type tcp_op = Send of bool * int | Recv of bool * int
+
+let tcp_ops =
+  let open QCheck.Gen in
+  let size =
+    frequency
+      [ (1, return 0); (4, int_range 1 3000); (1, int_range 256_000 600_000) ]
+  in
+  let op =
+    frequency
+      [
+        (1, map2 (fun dir n -> Send (dir, n)) bool size);
+        ( 1,
+          map2
+            (fun dir n -> Recv (dir, n))
+            bool
+            (oneof [ int_range 0 5000; int_range 0 700_000 ]) );
+      ]
+  in
+  pair (option small_nat) (list_size (int_range 0 24) op)
+
+let print_tcp_ops (fault, ops) =
+  Printf.sprintf "fault=%s [%s]"
+    (match fault with None -> "none" | Some s -> string_of_int s)
+    (String.concat "; "
+       (List.map
+          (function
+            | Send (c, n) -> Printf.sprintf "send %s %d" (if c then "c>s" else "s>c") n
+            | Recv (c, n) -> Printf.sprintf "recv %s %d" (if c then "@c" else "@s") n)
+          ops))
+
+let tcp_model_property =
+  QCheck.Test.make ~name:"tcp: receives match a flat-stream model, faults included" ~count:40
+    (QCheck.make ~print:print_tcp_ops tcp_ops)
+    (fun (fault_seed, ops) ->
+      let fault =
+        Option.map
+          (fun seed ->
+            let plan = Fault.create ~seed () in
+            Fault.inject plan ~site:Fault.site_link_tx (Fault.Probability 0.3);
+            Fault.inject plan ~site:Fault.site_link_corrupt (Fault.Probability 0.2);
+            Fault.inject plan ~site:Fault.site_link_delay (Fault.Probability 0.2);
+            plan)
+          fault_seed
+      in
+      let client = Clock.create () and server = Clock.create () in
+      let conn =
+        Tcp.connect ?fault ~client ~server ~link:Link.loopback ~client_profile:Tcp.smoltcp
+          ~server_profile:Tcp.smoltcp ()
+      in
+      (* Per direction (index 0: client to server): every byte sent, and
+         how many of them have been received. *)
+      let sent = [| Buffer.create 1024; Buffer.create 1024 |] and taken = [| 0; 0 |] in
+      let dir ~from_client = if from_client then 0 else 1 in
+      let check_recv ~at_client n =
+        let d = dir ~from_client:(not at_client) in
+        let have = Buffer.length sent.(d) - taken.(d) in
+        let avail_ok = Tcp.available conn ~at_client = have in
+        let got = Tcp.recv conn ~at_client n in
+        let want = Buffer.sub sent.(d) taken.(d) (Stdlib.min n have) in
+        taken.(d) <- taken.(d) + String.length want;
+        avail_ok && Bytes.to_string got = want
+      in
+      let ok =
+        List.for_all
+          (function
+            | Send (from_client, n) ->
+                let d = dir ~from_client in
+                let base = Buffer.length sent.(d) in
+                let data = Bytes.init n (fun i -> Char.chr ((base + i) * (d + 7) mod 251)) in
+                Tcp.send conn ~from_client data;
+                Buffer.add_bytes sent.(d) data;
+                true
+            | Recv (at_client, n) -> check_recv ~at_client n)
+          ops
+      in
+      ok
+      && check_recv ~at_client:false max_int
+      && check_recv ~at_client:true max_int
+      && Tcp.available conn ~at_client:false = 0
+      && Tcp.available conn ~at_client:true = 0)
+
 let test_http_request_roundtrip () =
   let req =
     Http.request ~headers:[ ("Host", "wfd0"); ("X-Trace", "abc") ] ~body:"{\"k\":1}"
@@ -180,6 +277,32 @@ let redis_roundtrip_property =
       | Some got -> Bytes.to_string got = s
       | None -> false)
 
+(* Neither the buffer handed to [set] nor the one [get] returns is
+   shared with the store. *)
+let redis_aliasing_property =
+  QCheck.Test.make ~name:"redis: mutating set's or get's buffer never changes the store"
+    ~count:60
+    (* Some values span several 1 MiB bursts of the Linux profile. *)
+    QCheck.(
+      pair
+        (string_of_size
+           Gen.(frequency [ (4, int_range 1 5000); (1, int_range 1_000_000 1_300_000) ]))
+        char)
+    (fun (s, c) ->
+      let server = Redis.create () in
+      let client = Redis.connect server (Clock.create ()) in
+      let value = Bytes.of_string s in
+      Redis.set client "k" value;
+      Bytes.fill value 0 (Bytes.length value) c;
+      match Redis.get client "k" with
+      | None -> false
+      | Some got -> (
+          let first = Bytes.to_string got = s in
+          Bytes.fill got 0 (Bytes.length got) c;
+          match Redis.get client "k" with
+          | Some again -> first && Bytes.to_string again = s
+          | None -> false))
+
 let suite =
   [
     Alcotest.test_case "tcp handshake states" `Quick test_tcp_handshake_states;
@@ -190,6 +313,8 @@ let suite =
     Alcotest.test_case "tcp Table-4 throughputs" `Quick test_tcp_throughput_estimates;
     QCheck_alcotest.to_alcotest tcp_delivery_property;
     QCheck_alcotest.to_alcotest tcp_time_monotonic_property;
+    Alcotest.test_case "tcp recv rejects a negative length" `Quick test_tcp_recv_negative;
+    QCheck_alcotest.to_alcotest tcp_model_property;
     Alcotest.test_case "http request roundtrip" `Quick test_http_request_roundtrip;
     Alcotest.test_case "http response roundtrip" `Quick test_http_response_roundtrip;
     Alcotest.test_case "http malformed" `Quick test_http_malformed;
@@ -197,4 +322,5 @@ let suite =
     Alcotest.test_case "redis virtual-time costs" `Quick test_redis_costs_time;
     Alcotest.test_case "redis RESP encoding" `Quick test_redis_resp_encoding;
     QCheck_alcotest.to_alcotest redis_roundtrip_property;
+    QCheck_alcotest.to_alcotest redis_aliasing_property;
   ]

@@ -297,6 +297,17 @@ let test_recordf_disabled_builds_nothing () =
   | [ e ] -> Alcotest.(check string) "detail built when enabled" "x" e.Trace.detail
   | _ -> Alcotest.fail "expected exactly one event")
 
+(* Test-side oracle: [Rng.bytes] must be exactly [n] draws of
+   [Rng.int t 256], and leave the generator where those draws would. *)
+let rng_bytes_property =
+  QCheck.Test.make ~name:"rng: bytes equals n draws of int 256, state included" ~count:200
+    QCheck.(pair int (oneof [ int_range 0 17; int_range 0 5000 ]))
+    (fun (seed, n) ->
+      let fast = Rng.create seed and reference = Rng.create seed in
+      let got = Rng.bytes fast n in
+      let want = Bytes.init n (fun _ -> Char.chr (Rng.int reference 256)) in
+      Bytes.equal got want && Int64.equal (Rng.next_int64 fast) (Rng.next_int64 reference))
+
 let suite =
   [
     Alcotest.test_case "units construction" `Quick test_units_construction;
@@ -320,6 +331,7 @@ let suite =
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "rng exponential mean" `Quick test_rng_exponential_mean;
     Alcotest.test_case "rng shuffle permutes" `Quick test_rng_shuffle_permutes;
+    QCheck_alcotest.to_alcotest rng_bytes_property;
     Alcotest.test_case "table rendering" `Quick test_table_render;
     Alcotest.test_case "trace disabled noop" `Quick test_trace_disabled_noop;
     Alcotest.test_case "trace record/filter" `Quick test_trace_records_and_filters;

@@ -308,6 +308,29 @@ let test_fdtab_errors () =
   | Error Errno.Ebadf -> ()
   | Ok _ | Error _ -> Alcotest.fail "bad close must be EBADF"
 
+let test_fdtab_negative_len () =
+  let wfd = io_wfd () in
+  let setup = Clock.create () in
+  let file = Result.get_ok (Libos_fdtab.openf wfd ~clock:setup ~path:"/n.txt" ~create:true) in
+  let conn =
+    Netsim.Tcp.connect ~client:(Clock.create ()) ~server:(Clock.create ())
+      ~link:Netsim.Link.loopback ~client_profile:Netsim.Tcp.linux
+      ~server_profile:Netsim.Tcp.linux ()
+  in
+  Netsim.Tcp.send conn ~from_client:false (Bytes.of_string "data");
+  let sock = Libos_fdtab.register_socket wfd ~clock:setup ~conn ~at_client:true in
+  List.iter
+    (fun (what, fd) ->
+      let clock = Clock.create () in
+      (match Libos_fdtab.read wfd ~clock ~fd ~len:(-1) with
+      | Error Errno.Einval -> ()
+      | Ok _ | Error _ -> Alcotest.failf "negative read on a %s must be EINVAL" what);
+      Alcotest.(check bool) (what ^ ": nothing charged") true
+        (Units.equal (Clock.now clock) Units.zero))
+    [ ("file", file); ("socket", sock) ];
+  Alcotest.(check int) "socket bytes untouched" 4
+    (Netsim.Tcp.available conn ~at_client:true)
+
 let test_fdtab_stdout () =
   let wfd = io_wfd () in
   let clock = Clock.create () in
@@ -613,6 +636,7 @@ let suite =
     Alcotest.test_case "fdtab file io" `Quick test_fdtab_file_io;
     Alcotest.test_case "fdtab errors" `Quick test_fdtab_errors;
     Alcotest.test_case "fdtab stdout" `Quick test_fdtab_stdout;
+    Alcotest.test_case "fdtab negative length is EINVAL" `Quick test_fdtab_negative_len;
     Alcotest.test_case "fatfs charges clock" `Quick test_fatfs_module_charges_clock;
     Alcotest.test_case "time module" `Quick test_time_module;
     Alcotest.test_case "socket module" `Quick test_socket_module;

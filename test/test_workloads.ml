@@ -25,6 +25,21 @@ let test_datagen_records () =
   Datagen.set_record data 3 42l;
   Alcotest.(check int32) "get/set" 42l (Datagen.get_record data 3)
 
+(* The text is the first [size] bytes of one word stream per seed; the
+   digests were taken from the Buffer-based generator this one
+   replaced, so the WordCount inputs are unchanged. *)
+let test_datagen_text_pinned () =
+  let digest seed size = Digest.to_hex (Digest.bytes (Datagen.words_text ~seed size)) in
+  Alcotest.(check string) "seed 42, 1 MiB" "68d9c5f41df1bc484680fda0c1b4565b"
+    (digest 42 (1 lsl 20));
+  Alcotest.(check string) "seed 7, 12345 B" "51f5298110a3c9f2e5df2167fd4fcfa7"
+    (digest 7 12345);
+  let long = Datagen.words_text ~seed:3 4096 in
+  for size = 0 to 64 do
+    Alcotest.(check bytes) "prefix of a longer text" (Bytes.sub long 0 size)
+      (Datagen.words_text ~seed:3 size)
+  done
+
 (* --- wordcount internals --- *)
 
 let test_count_words () =
@@ -33,6 +48,68 @@ let test_count_words () =
   Alcotest.(check int) "b" 2 (Hashtbl.find counts "b");
   Alcotest.(check int) "c" 1 (Hashtbl.find counts "c");
   Alcotest.(check int) "distinct" 3 (Hashtbl.length counts)
+
+(* Test-side oracle for [count_words]: one substring and one table
+   update per token.  The fast path must match it in counts and in
+   [Hashtbl.fold] order, which fixes the bytes of every map partition. *)
+let reference_count_words data =
+  let counts = Hashtbl.create 1024 in
+  let n = Bytes.length data in
+  let flush start stop =
+    if stop > start then begin
+      let w = Bytes.sub_string data start (stop - start) in
+      Hashtbl.replace counts w (1 + Option.value ~default:0 (Hashtbl.find_opt counts w))
+    end
+  in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    match Bytes.get data i with
+    | ' ' | '\n' | '\t' | '\r' ->
+        flush !start i;
+        start := i + 1
+    | _ -> ()
+  done;
+  flush !start n;
+  counts
+
+let words_input =
+  let open QCheck.Gen in
+  let sep = oneofl [ " "; "\n"; "\t"; "\r"; "  "; " \n\r\t" ] in
+  (* Raw bytes over a small alphabet: empty text, separator-only runs,
+     leading/trailing/repeated separators and bytes >= 0x80. *)
+  let raw =
+    string_size ~gen:(oneofl [ ' '; '\n'; '\t'; '\r'; 'a'; 'b'; 'z'; '\x80'; '\xe9'; '\xff' ])
+      (int_range 0 3000)
+  in
+  (* Token soup over a vocabulary of up to 5000 words (past the result
+     table's 1024 initial buckets and its first resizes), with some
+     tokens hundreds of bytes long. *)
+  let soup =
+    int_range 1 5000 >>= fun vocab ->
+    let token =
+      frequency
+        [
+          (20, map (fun i -> "w" ^ string_of_int i) (int_bound (vocab - 1)));
+          ( 1,
+            map (fun k -> String.make (100 + k) (Char.chr (97 + (k mod 26)))) (int_bound 400) );
+          (1, map (fun i -> "\xc3\xa9" ^ string_of_int i) (int_bound 50));
+        ]
+    in
+    list_size (int_range 0 8000) (pair token sep) >>= fun tokens ->
+    map
+      (fun lead -> lead ^ String.concat "" (List.map (fun (w, s) -> w ^ s) tokens))
+      (oneofl [ ""; " "; "\n\n" ])
+  in
+  frequency [ (1, raw); (2, soup) ]
+
+let count_words_property =
+  QCheck.Test.make ~name:"count_words equals the substring-and-Hashtbl oracle" ~count:60
+    (QCheck.make words_input ~print:(fun s ->
+         String.escaped (if String.length s > 200 then String.sub s 0 200 ^ "..." else s)))
+    (fun text ->
+      let data = Bytes.of_string text in
+      let fold t = Hashtbl.fold (fun w c acc -> (w, c) :: acc) t [] in
+      fold (Wordcount.count_words data) = fold (reference_count_words data))
 
 let test_counts_codec () =
   let pairs = [ ("alpha", 3); ("beta", 14) ] in
@@ -242,4 +319,6 @@ let suite =
     Alcotest.test_case "online-compiling direct" `Quick test_compile_app_direct;
     Alcotest.test_case "online-compiling on AS" `Quick test_compile_app_on_alloystack;
     Alcotest.test_case "Table 1 inventory" `Quick test_table1_inventory;
+    Alcotest.test_case "datagen text pinned" `Quick test_datagen_text_pinned;
+    QCheck_alcotest.to_alcotest count_words_property;
   ]
