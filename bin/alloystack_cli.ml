@@ -35,19 +35,24 @@ let parse_size s =
     let mult = unit_of s.[n - 1] in
     let digits = if mult = 0 then s else String.sub s 0 (n - 1) in
     match int_of_string_opt digits with
+    | Some v when v < 0 -> Error (Printf.sprintf "negative size %S" s)
     | Some v -> Ok (v * if mult = 0 then 1 else mult)
     | None -> Error (Printf.sprintf "bad size %S" s)
   end
 
+(* The app constructors reject bad sizes and counts with
+   [Invalid_argument]; that is a usage error here, not a crash. *)
 let make_app ~app ~seed ~size ~instances ~length =
-  match app with
-  | "wordcount" -> Ok (Workloads.Wordcount.app ~seed ~size ~instances)
-  | "sorting" -> Ok (Workloads.Parallel_sorting.app ~seed ~size ~instances)
-  | "chain" -> Ok (Workloads.Function_chain.app ~seed ~payload:size ~length)
-  | "pipe" -> Ok (Workloads.Pipe_app.app ~seed ~size)
-  | "image" -> Ok (Workloads.Image_meta.image_pipeline ~seed)
-  | "noops" -> Ok Workloads.Pipe_app.noops
-  | other -> Error (Printf.sprintf "unknown app %S" other)
+  try
+    match app with
+    | "wordcount" -> Ok (Workloads.Wordcount.app ~seed ~size ~instances)
+    | "sorting" -> Ok (Workloads.Parallel_sorting.app ~seed ~size ~instances)
+    | "chain" -> Ok (Workloads.Function_chain.app ~seed ~payload:size ~length)
+    | "pipe" -> Ok (Workloads.Pipe_app.app ~seed ~size)
+    | "image" -> Ok (Workloads.Image_meta.image_pipeline ~seed)
+    | "noops" -> Ok Workloads.Pipe_app.noops
+    | other -> Error (Printf.sprintf "unknown app %S" other)
+  with Invalid_argument e -> Error e
 
 (* Each CLI invocation is one run: drop whatever a previous library
    user left in the process-global collectors so exported traces and
@@ -80,7 +85,7 @@ let run_cmd app platform size instances length seed trace trace_out metrics_out 
   if trace || trace_out <> None then Sim.Span.set_enabled Sim.Span.global true;
   match (parse_size size, List.assoc_opt platform platforms) with
   | Error e, _ ->
-      prerr_endline e;
+      prerr_endline ("error: " ^ e);
       1
   | _, None ->
       Printf.eprintf "unknown platform %s; available: %s\n" platform
@@ -89,7 +94,7 @@ let run_cmd app platform size instances length seed trace trace_out metrics_out 
   | Ok size, Some p -> begin
       match make_app ~app ~seed ~size ~instances ~length with
       | Error e ->
-          prerr_endline e;
+          prerr_endline ("error: " ^ e);
           1
       | Ok workload ->
           let m = p.Platform.run workload in
@@ -180,7 +185,7 @@ let explain_cmd app platform size instances length seed trace_out tails requests
   Sim.Span.set_enabled Sim.Span.global true;
   match (parse_size size, List.assoc_opt platform platforms) with
   | Error e, _ ->
-      prerr_endline e;
+      prerr_endline ("error: " ^ e);
       1
   | _, None ->
       Printf.eprintf "unknown platform %s; available: %s\n" platform
@@ -189,7 +194,7 @@ let explain_cmd app platform size instances length seed trace_out tails requests
   | Ok size, Some p -> begin
       match make_app ~app ~seed ~size ~instances ~length with
       | Error e ->
-          prerr_endline e;
+          prerr_endline ("error: " ^ e);
           1
       | Ok workload ->
           let m = p.Platform.run workload in

@@ -145,13 +145,20 @@ let histogram name =
 
 (* Bucket on the integer part so the boundary behaviour is exact:
    bucket 0 <-> v < 1, bucket i <-> 2^(i-1) <= v < 2^i.  Int64 bit
-   length is deterministic where float log2 near powers of two is not. *)
+   length is deterministic where float log2 near powers of two is not.
+   Below 2^62 the integer part fits an int and is counted without
+   allocating; larger values, infinity and NaN take the Int64 path. *)
 let bucket_index v =
   let v = if v < 0.0 then 0.0 else v in
-  let n = Int64.of_float v in
-  let rec bits acc n = if n = 0L then acc else bits (acc + 1) (Int64.shift_right_logical n 1) in
-  let i = bits 0 n in
-  if i > 63 then 63 else i
+  if v < 0x1p62 then begin
+    let rec bits acc n = if n = 0 then acc else bits (acc + 1) (n lsr 1) in
+    bits 0 (int_of_float v)
+  end
+  else begin
+    let rec bits acc n = if n = 0L then acc else bits (acc + 1) (Int64.shift_right_logical n 1) in
+    let i = bits 0 (Int64.of_float v) in
+    if i > 63 then 63 else i
+  end
 
 let bucket_bound i = 2.0 ** float_of_int i
 

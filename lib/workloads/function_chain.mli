@@ -4,9 +4,12 @@
     input. *)
 
 val app : seed:int -> payload:int -> length:int -> Fctx.app
-(** The head function fabricates [payload] bytes; every link verifies a
-    rolling checksum and forwards; the tail publishes the checksum as
-    its output line. *)
+(** The head function fabricates [payload] bytes; every link touches
+    them and forwards them; the tail verifies end to end, checking the
+    received bytes against the checksum of an independent generation
+    of the payload (made once per app), and publishes the checksum as
+    its output line.  Raises [Invalid_argument] if [length < 2] or
+    [payload < 0]. *)
 
 val checksum : bytes -> int64
-(** The rolling checksum every link maintains (exposed for tests). *)
+(** The rolling checksum the tail verifies (exposed for tests). *)

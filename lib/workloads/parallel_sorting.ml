@@ -7,16 +7,17 @@ let split_ns_per_byte = 0.35
 let concat_ns_per_byte = 0.12
 let sort_ns_per_compare = 1.05
 
-let unsigned_compare (a : int32) (b : int32) =
-  (* Flip the sign bit to compare as unsigned. *)
-  Int32.compare (Int32.logxor a Int32.min_int) (Int32.logxor b Int32.min_int)
+(* Record [i]'s unsigned key, zero-extended into an int: the unsigned
+   record order is the natural order of the keys. *)
+let[@inline] key data i = Int32.to_int (Bytes.get_int32_le data (i * 4)) land 0xFFFF_FFFF
 
 let sort_records data =
-  (* LSD radix sort over zero-extended 32-bit keys, two 16-bit passes:
-     O(n), stable, and the unsigned record order equals the natural
-     order of the extended ints. *)
+  (* LSD radix sort over the keys, two 16-bit passes: O(n) and stable. *)
   let n = Datagen.record_count data in
-  let src = Array.init n (fun i -> Int32.to_int (Datagen.get_record data i) land 0xFFFF_FFFF) in
+  let src = Array.make n 0 in
+  for i = 0 to n - 1 do
+    src.(i) <- key data i
+  done;
   let dst = Array.make n 0 in
   let radix = 1 lsl 16 in
   let counts = Array.make (radix + 1) 0 in
@@ -40,22 +41,19 @@ let sort_records data =
     pass ~shift:16 dst src
   end;
   let out = Bytes.create (n * 4) in
-  Array.iteri (fun i v -> Datagen.set_record out i (Int32.of_int v)) src;
+  for i = 0 to n - 1 do
+    Bytes.set_int32_le out (i * 4) (Int32.of_int src.(i))
+  done;
   out
 
 let is_sorted data =
   let n = Datagen.record_count data in
-  let rec go i =
-    i >= n
-    || unsigned_compare (Datagen.get_record data (i - 1)) (Datagen.get_record data i) <= 0
-       && go (i + 1)
-  in
-  n = 0 || go 1
+  let rec go i prev = i >= n || (let k = key data i in prev <= k && go (i + 1) k) in
+  n = 0 || go 1 (key data 0)
 
-let bucket_of v ~buckets =
-  (* Top bits of the unsigned value. *)
-  let u = Int32.to_int (Int32.shift_right_logical v 8) land 0xFFFFFF in
-  u * buckets / 0x1000000
+(* Top bits of the unsigned key. *)
+let bucket_of_key k ~buckets = (k lsr 8) * buckets / 0x1000000
+let bucket_of v ~buckets = bucket_of_key (Int32.to_int v land 0xFFFF_FFFF) ~buckets
 
 let bucket_slot i = Printf.sprintf "ps.bucket.%d" i
 let sorted_slot i = Printf.sprintf "ps.sorted.%d" i
@@ -72,22 +70,25 @@ let split_kernel p (ctx : Fctx.t) =
   ctx.Fctx.phase Fctx.phase_read (fun () -> data := ctx.Fctx.read_input input_path);
   let data = !data in
   let n = Datagen.record_count data in
-  let buckets = Array.make p (Buffer.create 16) in
-  for i = 0 to p - 1 do
-    buckets.(i) <- Buffer.create (Bytes.length data / Stdlib.max 1 p)
-  done;
+  (* Two passes: size each bucket exactly, then copy the records in. *)
+  let fill = Array.make p 0 in
+  let buckets = ref [||] in
   ctx.Fctx.phase Fctx.phase_compute (fun () ->
       for i = 0 to n - 1 do
-        let v = Datagen.get_record data i in
-        let b = Bytes.create 4 in
-        Bytes.set_int32_le b 0 v;
-        Buffer.add_bytes buckets.(bucket_of v ~buckets:p) b
+        let b = bucket_of_key (key data i) ~buckets:p in
+        fill.(b) <- fill.(b) + 4
       done;
+      let out = Array.map Bytes.create fill in
+      Array.fill fill 0 p 0;
+      for i = 0 to n - 1 do
+        let b = bucket_of_key (key data i) ~buckets:p in
+        Bytes.set_int32_le out.(b) fill.(b) (Bytes.get_int32_le data (i * 4));
+        fill.(b) <- fill.(b) + 4
+      done;
+      buckets := out;
       Fctx.compute_bytes ctx ~ns_per_byte:split_ns_per_byte (Bytes.length data));
   ctx.Fctx.phase Fctx.phase_transfer (fun () ->
-      Array.iteri
-        (fun i buf -> ctx.Fctx.send ~slot:(bucket_slot i) (Buffer.to_bytes buf))
-        buckets)
+      Array.iteri (fun i bucket -> ctx.Fctx.send ~slot:(bucket_slot i) bucket) !buckets)
 
 let sort_kernel (ctx : Fctx.t) =
   let i = ctx.Fctx.instance in
@@ -115,6 +116,8 @@ let merge_kernel p (ctx : Fctx.t) =
   ctx.Fctx.println "parallel-sorting done"
 
 let app ~seed ~size ~instances =
+  if size < 0 then invalid_arg "Parallel_sorting.app: size must be >= 0";
+  if instances < 1 then invalid_arg "Parallel_sorting.app: instances must be >= 1";
   let p = instances in
   let count = size / 4 in
   let input = Datagen.int32_records ~seed ~count in

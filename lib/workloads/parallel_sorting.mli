@@ -11,7 +11,8 @@ val input_path : string
 val output_path : string
 
 val app : seed:int -> size:int -> instances:int -> Fctx.app
-(** [size] is the input byte count (rounded down to whole records). *)
+(** [size] is the input byte count (rounded down to whole records).
+    Raises [Invalid_argument] if [size < 0] or [instances < 1]. *)
 
 (** {1 Internals exposed for tests} *)
 
@@ -19,4 +20,6 @@ val sort_records : bytes -> bytes
 (** Real unsigned sort of the 4-byte records. *)
 
 val is_sorted : bytes -> bool
+(** Whether the whole records are in unsigned order. *)
+
 val bucket_of : int32 -> buckets:int -> int

@@ -2,6 +2,7 @@ let slot = "pipe.data"
 let warm_slot = "pipe.warm"
 
 let app ~seed ~size =
+  if size < 0 then invalid_arg "Pipe_app.app: size must be >= 0";
   let payload = Datagen.payload ~seed size in
   let expected = Function_chain.checksum payload in
   (* A one-byte warmup exchange first, attributed to its own phase:

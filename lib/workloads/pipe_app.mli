@@ -4,6 +4,7 @@
     measures. *)
 
 val app : seed:int -> size:int -> Fctx.app
+(** Raises [Invalid_argument] if [size < 0]. *)
 
 (** no-ops: an empty function that returns immediately (cold-start
     benchmark, Fig. 10). *)

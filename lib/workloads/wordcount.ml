@@ -192,6 +192,8 @@ let expected_counts ~seed ~size =
   sorted_pairs (count_words (Datagen.words_text ~seed size))
 
 let app ~seed ~size ~instances =
+  if size < 0 then invalid_arg "Wordcount.app: size must be >= 0";
+  if instances < 1 then invalid_arg "Wordcount.app: instances must be >= 1";
   let m = instances and r = instances in
   let input = Datagen.words_text ~seed size in
   let expected = lazy (sorted_pairs (count_words input)) in

@@ -11,7 +11,8 @@ val input_path : string
 val output_path : string
 
 val app : seed:int -> size:int -> instances:int -> Fctx.app
-(** [size] bytes of generated text, [instances] mappers and reducers. *)
+(** [size] bytes of generated text, [instances] mappers and reducers.
+    Raises [Invalid_argument] if [size < 0] or [instances < 1]. *)
 
 val expected_counts : seed:int -> size:int -> (string * int) list
 (** Ground truth computed directly from the generated input. *)

@@ -77,6 +77,7 @@ let test_tcp_throughput_estimates () =
 
 let tcp_delivery_property =
   QCheck.Test.make ~name:"tcp: byte stream preserved across random sends" ~count:60
+    ~long_factor:10
     QCheck.(list_of_size (Gen.int_range 1 8) (string_of_size (Gen.int_range 0 5000)))
     (fun chunks ->
       let conn, _, _ = connect () in
@@ -87,7 +88,7 @@ let tcp_delivery_property =
 
 let tcp_time_monotonic_property =
   QCheck.Test.make ~name:"tcp: transfers only move clocks forward, larger takes longer"
-    ~count:60
+    ~count:60 ~long_factor:10
     QCheck.(pair (int_range 1 200_000) (int_range 1 200_000))
     (fun (a, b) ->
       let measure size =
@@ -148,6 +149,7 @@ let print_tcp_ops (fault, ops) =
 
 let tcp_model_property =
   QCheck.Test.make ~name:"tcp: receives match a flat-stream model, faults included" ~count:40
+    ~long_factor:10
     (QCheck.make ~print:print_tcp_ops tcp_ops)
     (fun (fault_seed, ops) ->
       let fault =
@@ -267,7 +269,7 @@ let test_redis_resp_encoding () =
     (Redis.encode_get "k")
 
 let redis_roundtrip_property =
-  QCheck.Test.make ~name:"redis: arbitrary payload roundtrips" ~count:60
+  QCheck.Test.make ~name:"redis: arbitrary payload roundtrips" ~count:60 ~long_factor:10
     QCheck.(string_of_size (Gen.int_range 0 10_000))
     (fun s ->
       let server = Redis.create () in
@@ -281,7 +283,7 @@ let redis_roundtrip_property =
    shared with the store. *)
 let redis_aliasing_property =
   QCheck.Test.make ~name:"redis: mutating set's or get's buffer never changes the store"
-    ~count:60
+    ~count:60 ~long_factor:10
     (* Some values span several 1 MiB bursts of the Linux profile. *)
     QCheck.(
       pair

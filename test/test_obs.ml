@@ -107,6 +107,42 @@ let test_histogram_buckets () =
   Alcotest.(check (float 0.0)) "bound 0" 1.0 (Metrics.bucket_bound 0);
   Alcotest.(check (float 0.0)) "bound 10" 1024.0 (Metrics.bucket_bound 10)
 
+(* The all-Int64 bucket function [Metrics.bucket_index] replaced, kept
+   as the oracle for its int fast path below 2^62. *)
+let reference_bucket_index v =
+  let v = if v < 0.0 then 0.0 else v in
+  let n = Int64.of_float v in
+  let rec bits acc n = if n = 0L then acc else bits (acc + 1) (Int64.shift_right_logical n 1) in
+  let i = bits 0 n in
+  if i > 63 then 63 else i
+
+let bucket_index_property =
+  let special =
+    let around x = [ Float.pred x; x; Float.succ x; -.x ] in
+    QCheck.Gen.oneofl
+      ([ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; Float.max_float; Float.min_float ]
+      @ around 0x1p62 @ around 0x1p63 @ around 0x1p64)
+  in
+  let power_of_two =
+    QCheck.Gen.(
+      map2 (fun k d -> Float.ldexp 1.0 k +. d) (int_bound 70) (oneofl [ -1.0; 0.0; 1.0 ]))
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, special);
+          (3, power_of_two);
+          (3, float_range 0.0 1e6);
+          (1, map Float.neg (float_range 0.0 1e6));
+          (3, float);
+        ])
+  in
+  QCheck.Test.make ~name:"metrics: bucket_index equals the Int64 reference" ~count:2000
+    ~long_factor:10
+    (QCheck.make gen ~print:(Printf.sprintf "%h"))
+    (fun v -> Metrics.bucket_index v = reference_bucket_index v)
+
 let test_histogram_snapshot_and_reset () =
   Metrics.reset ();
   let h = Metrics.histogram "test.obs_histo" in
@@ -286,4 +322,5 @@ let suite =
     Alcotest.test_case "trace json golden" `Quick test_trace_json_golden;
     Alcotest.test_case "spans jsonl golden" `Quick test_spans_jsonl_golden;
     Alcotest.test_case "exports parse" `Quick test_exports_parse;
+    QCheck_alcotest.to_alcotest bucket_index_property;
   ]

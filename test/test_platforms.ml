@@ -191,6 +191,44 @@ let test_figure10_shape () =
   Alcotest.(check bool) "python runtimes slowest" true
     (get "AS-Py" > get "gVisor" && get "Faasm-Py" > get "AS-Py")
 
+(* A middle link that flips one byte before forwarding must fail the
+   run on every transport: the tail's end-to-end checksum is the only
+   check along the chain, so this pins that it still catches a
+   corruption no link looks for. *)
+let test_chain_catches_corrupting_link () =
+  let flip_one_byte (ctx : Fctx.t) =
+    let send ~slot b =
+      let b = Bytes.copy b in
+      Bytes.set b 7 (Char.chr (Char.code (Bytes.get b 7) lxor 1));
+      ctx.Fctx.send ~slot b
+    in
+    { ctx with Fctx.send }
+  in
+  let app = Function_chain.app ~seed:47 ~payload:(64 * 1024) ~length:4 in
+  let app =
+    {
+      app with
+      Fctx.stages =
+        List.mapi
+          (fun i ((name, n, kernel) as stage) ->
+            if i = 2 then (name, n, fun ctx -> kernel (flip_one_byte ctx)) else stage)
+          app.Fctx.stages;
+    }
+  in
+  let rec corrupted = function
+    | Failure msg -> msg = "FunctionChain: payload corrupted along the chain"
+    | Alloystack_core.Visor.Function_failed { error; _ } -> corrupted error
+    | _ -> false
+  in
+  List.iter
+    (fun (p : Platform.t) ->
+      match p.Platform.run app with
+      | _ -> Alcotest.failf "%s: corrupted chain ran to completion" p.Platform.name
+      | exception e ->
+          if not (corrupted e) then
+            Alcotest.failf "%s: unexpected failure %s" p.Platform.name (Printexc.to_string e))
+    [ As_platform.alloystack; Faastlane.ipc; Openfaas.openfaas_warm ]
+
 let suite =
   [
     Alcotest.test_case "pipe validates everywhere" `Slow test_all_platforms_validate_pipe;
@@ -213,4 +251,5 @@ let suite =
     Alcotest.test_case "loadgen saturation" `Quick test_loadgen_saturation_queues;
     Alcotest.test_case "loadgen contention" `Quick test_loadgen_contention_hurts;
     Alcotest.test_case "loadgen width check" `Quick test_loadgen_width_check;
+    Alcotest.test_case "chain catches a corrupting link" `Quick test_chain_catches_corrupting_link;
   ]

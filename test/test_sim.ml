@@ -301,6 +301,7 @@ let test_recordf_disabled_builds_nothing () =
    [Rng.int t 256], and leave the generator where those draws would. *)
 let rng_bytes_property =
   QCheck.Test.make ~name:"rng: bytes equals n draws of int 256, state included" ~count:200
+    ~long_factor:10
     QCheck.(pair int (oneof [ int_range 0 17; int_range 0 5000 ]))
     (fun (seed, n) ->
       let fast = Rng.create seed and reference = Rng.create seed in

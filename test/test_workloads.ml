@@ -104,6 +104,7 @@ let words_input =
 
 let count_words_property =
   QCheck.Test.make ~name:"count_words equals the substring-and-Hashtbl oracle" ~count:60
+    ~long_factor:10
     (QCheck.make words_input ~print:(fun s ->
          String.escaped (if String.length s > 200 then String.sub s 0 200 ^ "..." else s)))
     (fun text ->
@@ -173,12 +174,74 @@ let test_bucket_partitioning () =
     (Parallel_sorting.bucket_of (-1l) ~buckets = buckets - 1)
 
 let sort_property =
-  QCheck.Test.make ~name:"sort_records sorts any input" ~count:100
+  QCheck.Test.make ~name:"sort_records sorts any input" ~count:100 ~long_factor:10
     QCheck.(list_of_size (Gen.int_range 0 500) int)
     (fun xs ->
       let b = Bytes.create (4 * List.length xs) in
       List.iteri (fun i x -> Bytes.set_int32_le b (4 * i) (Int32.of_int x)) xs;
       Parallel_sorting.is_sorted (Parallel_sorting.sort_records b))
+
+(* Records for the sort properties: uniform, small (many duplicates)
+   and boundary keys, laid out unsorted, sorted, or sorted with one
+   adjacent pair swapped, plus 0-3 trailing bytes of a partial record. *)
+let records_input =
+  let open QCheck.Gen in
+  let key =
+    frequency
+      [
+        (3, ui32);
+        (2, map Int32.of_int (int_bound 8));
+        (1, oneofl [ 0l; 1l; Int32.max_int; Int32.min_int; -1l ]);
+      ]
+  in
+  let unsigned_sort = List.sort Int32.unsigned_compare in
+  let swap_one keys =
+    let a = Array.of_list keys in
+    let n = Array.length a in
+    if n < 2 then return keys
+    else
+      map
+        (fun i ->
+          let a = Array.copy a in
+          let k = a.(i) in
+          a.(i) <- a.(i + 1);
+          a.(i + 1) <- k;
+          Array.to_list a)
+        (int_bound (n - 2))
+  in
+  list_size (int_range 0 300) key >>= fun keys ->
+  frequency [ (1, return keys); (1, return (unsigned_sort keys)); (1, swap_one (unsigned_sort keys)) ]
+  >>= fun keys ->
+  map
+    (fun tail ->
+      let b = Bytes.create ((4 * List.length keys) + String.length tail) in
+      List.iteri (fun i k -> Bytes.set_int32_le b (4 * i) k) keys;
+      Bytes.blit_string tail 0 b (4 * List.length keys) (String.length tail);
+      Bytes.to_string b)
+    (string_size (int_bound 3))
+
+let records_arb = QCheck.make records_input ~print:String.escaped
+
+let reference_keys b = List.init (Bytes.length b / 4) (fun i -> Bytes.get_int32_le b (4 * i))
+
+let is_sorted_property =
+  QCheck.Test.make ~name:"is_sorted equals an unsigned list reference" ~count:300 ~long_factor:10
+    records_arb (fun s ->
+      let b = Bytes.of_string s in
+      let rec sorted = function
+        | a :: (c :: _ as rest) -> Int32.unsigned_compare a c <= 0 && sorted rest
+        | _ -> true
+      in
+      Parallel_sorting.is_sorted b = sorted (reference_keys b))
+
+let sort_records_property =
+  QCheck.Test.make ~name:"sort_records equals List.sort on unsigned keys, byte for byte" ~count:300
+    ~long_factor:10 records_arb (fun s ->
+      let b = Bytes.of_string s in
+      let keys = List.sort Int32.unsigned_compare (reference_keys b) in
+      let want = Bytes.create (4 * List.length keys) in
+      List.iteri (fun i k -> Bytes.set_int32_le want (4 * i) k) keys;
+      Bytes.equal (Parallel_sorting.sort_records b) want)
 
 (* --- function chain --- *)
 
@@ -203,6 +266,26 @@ let test_chain_app_shape () =
   match Function_chain.app ~seed:1 ~payload:10 ~length:1 with
   | _ -> Alcotest.fail "length 1 invalid"
   | exception Invalid_argument _ -> ()
+
+let test_apps_reject_bad_arguments () =
+  let rejects prefix make =
+    match make () with
+    | (_ : Fctx.app) -> Alcotest.failf "%s accepted a bad argument" prefix
+    | exception Invalid_argument msg ->
+        if not (String.starts_with ~prefix msg) then
+          Alcotest.failf "%S does not name the constructor %S" msg prefix
+  in
+  rejects "Wordcount.app: " (fun () -> Wordcount.app ~seed:1 ~size:(-1) ~instances:1);
+  rejects "Wordcount.app: " (fun () -> Wordcount.app ~seed:1 ~size:1000 ~instances:0);
+  rejects "Parallel_sorting.app: " (fun () -> Parallel_sorting.app ~seed:1 ~size:(-64) ~instances:1);
+  rejects "Parallel_sorting.app: " (fun () -> Parallel_sorting.app ~seed:1 ~size:1000 ~instances:0);
+  rejects "Function_chain.app: " (fun () -> Function_chain.app ~seed:1 ~payload:(-1) ~length:3);
+  rejects "Pipe_app.app: " (fun () -> Pipe_app.app ~seed:1 ~size:(-1));
+  (* Zero sizes are still accepted. *)
+  ignore (Wordcount.app ~seed:1 ~size:0 ~instances:1);
+  ignore (Parallel_sorting.app ~seed:1 ~size:0 ~instances:1);
+  ignore (Function_chain.app ~seed:1 ~payload:0 ~length:2);
+  ignore (Pipe_app.app ~seed:1 ~size:0)
 
 (* --- apps run end to end on a direct in-memory harness --- *)
 
@@ -321,4 +404,7 @@ let suite =
     Alcotest.test_case "Table 1 inventory" `Quick test_table1_inventory;
     Alcotest.test_case "datagen text pinned" `Quick test_datagen_text_pinned;
     QCheck_alcotest.to_alcotest count_words_property;
+    QCheck_alcotest.to_alcotest is_sorted_property;
+    QCheck_alcotest.to_alcotest sort_records_property;
+    Alcotest.test_case "apps reject bad arguments" `Quick test_apps_reject_bad_arguments;
   ]
